@@ -79,7 +79,7 @@ _NOISE_KEYS = {
 }
 
 _SCAN_KEYS = {"parameter": None, "values_mhz": None, "values": None, "metric": None}
-_SCENARIO_KEYS = {"kind": None, "seed": None, "calibrate": None}
+_SCENARIO_KEYS = {"kind": None, "seed": None}
 
 
 def _parse_config(path: Path | None, overrides: list[str]) -> configparser.ConfigParser:
@@ -146,6 +146,17 @@ def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
     if missing:
         raise ConfigError(f"[gate] is missing required values for {missing}")
     return variant, GateParams(**kwargs)
+
+
+def _seed(args, cp: configparser.ConfigParser) -> int:
+    """--seed if given, else [scenario] seed, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = cp.get("scenario", "seed", fallback="0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"scenario.seed must be an integer, got {raw!r}") from None
 
 
 def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
@@ -335,7 +346,7 @@ def cmd_scan(args) -> int:
 def cmd_noise(args) -> int:
     cp = _load(args)
     variant, params = _gate_params(cp)
-    spec = _noise_spec(cp, args.seed)
+    spec = _noise_spec(cp, _seed(args, cp))
     protocol = make_protocol(variant, params)
     result = monte_carlo_fidelity(protocol, spec, jobs=args.jobs)
     out = Path(args.out)
@@ -388,16 +399,17 @@ def cmd_tables(args) -> int:
 
 
 def _load(args) -> configparser.ConfigParser:
-    path = None
     if getattr(args, "preset", None):
         with resources.as_file(preset_path(args.preset)) as p:
             cp = _parse_config(p, args.set or [])
-            return cp
-    if getattr(args, "config", None):
-        path = Path(args.config)
-    if path is None and not args.set:
+    elif getattr(args, "config", None) or args.set:
+        cp = _parse_config(Path(args.config) if args.config else None, args.set or [])
+    else:
         raise ConfigError("provide --config, --preset or --set overrides")
-    return _parse_config(path, args.set or [])
+    kind = cp.get("scenario", "kind", fallback=args.command)
+    if kind != args.command:
+        raise ConfigError(f"config is a {kind!r} scenario, not {args.command!r}")
+    return cp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default: [scenario] seed, else 0)")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for shots")
 
     p = sub.add_parser("gate", help="run one gate and emit result tables")

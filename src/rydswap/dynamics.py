@@ -1,9 +1,16 @@
 """Time propagation under piecewise-smooth H(t) with Rydberg-loss accounting.
 
-The primary integrator exponentiates H(t_mid) exactly over each step, so the
-large static interaction diagonals (tens of GHz) cost nothing in step size;
-the step is limited only by envelope smoothness.  A scipy explicit
-Runge-Kutta propagation is kept alongside as an independent cross-check.
+The integrator exponentiates H(t_mid) exactly over each step, so the large
+static interaction diagonals (tens of GHz) cost nothing in step size; the
+step is limited only by envelope smoothness.  Every stage Hamiltonian is
+block-diagonal (a Rydberg-excited control is not driven during the target
+stage, and each drive couples one level pair), so one kernel propagates
+each group of equal-size blocks on its own: constant stages exponentiate
+each block once with ``expm``; time-dependent stages exponentiate a stack
+of (step, block) Hamiltonians with one batched ``eigh`` of the Hermitian
+part, the (diagonal) decay split off symmetrically, and 1-dim blocks
+exactly.  A scipy explicit Runge-Kutta propagation and the dense
+``evolve_step`` are kept alongside as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from scipy.linalg import expm
 
 from .model import HamiltonianEvaluator, HamiltonianSpec, NoiseRealization
 
+# Step propagators are built in chunks of about this many complex elements
+# per block group, which bounds the kernel's memory at any step count.
+_CHUNK_ELEMENTS = 4096
+
 
 class PropagationError(RuntimeError):
     """Non-finite amplitudes during integration (step too large or bad spec)."""
@@ -26,14 +37,12 @@ class PropagationError(RuntimeError):
 class StepPolicy:
     """Integrator step control.
 
-    The automatic step is sigma/gaussian_resolution for stages with an
-    active Gaussian envelope and duration/square_resolution otherwise;
-    max_step clamps it from above.  When convergence_target is set,
-    propagate() keeps halving the step until a further halving changes no
-    output amplitude by more than the target.
+    The step is sigma/gaussian_resolution for stages with an active
+    Gaussian envelope and duration/square_resolution otherwise.  When
+    convergence_target is set, propagate() keeps halving the step until a
+    further halving changes no output amplitude by more than the target.
     """
 
-    max_step: float | None = None
     convergence_target: float | None = None
     max_refinements: int = 5
     gaussian_resolution: int = 800
@@ -84,27 +93,6 @@ def evolve_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     return expm(-1j * dt * h) @ psi
 
 
-# Above this dimension the per-step propagator switches from a dense expm to
-# a Hermitian eigendecomposition with the (tiny, diagonal) decay split off
-# symmetrically; at the default step sizes the splitting error sits far
-# below the property-test tolerances that large systems are used for.
-_EIGH_DIM_THRESHOLD = 64
-
-
-def _step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    if h.shape[0] < _EIGH_DIM_THRESHOLD:
-        return expm(-1j * dt * h)
-    gamma = -2.0 * np.diag(h).imag  # per-state decay rate
-    h_h = h.copy()
-    np.fill_diagonal(h_h, np.diag(h).real)
-    w, v = np.linalg.eigh(h_h)
-    u = (v * np.exp(-1j * dt * w)) @ v.conj().T
-    if np.any(gamma):
-        damp = np.exp(-0.25 * dt * gamma)
-        u = damp[:, None] * u * damp[None, :]
-    return u
-
-
 def _stage_steps(stage: Stage, policy: StepPolicy, refine: int = 0) -> int:
     """Number of uniform steps for a stage."""
     gaussian_sigmas = [
@@ -116,19 +104,25 @@ def _stage_steps(stage: Stage, policy: StepPolicy, refine: int = 0) -> int:
         dt = min(gaussian_sigmas) / policy.gaussian_resolution
     else:
         dt = stage.duration / policy.square_resolution
-    if policy.max_step is not None:
-        dt = min(dt, policy.max_step)
     n = max(1, math.ceil(stage.duration / dt))
     return n * (2**refine)
 
 
-def _stage_is_constant(stage: Stage, noise: NoiseRealization | None) -> bool:
-    for d in stage.spec.drives:
-        if d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0:
-            return False
-        if noise is not None and d.family in noise.intensity_factors:
-            return False
-    return True
+def _block_exponentials(h: np.ndarray, decay: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt (h - (i/2) diag(decay))) for a stack of Hermitian blocks h.
+
+    h has shape (..., n_blocks, d, d) and decay (n_blocks, d).  1-dim
+    blocks are exact; larger ones split the decay off symmetrically around
+    the unitary part, an error far below the step's own at these rates.
+    """
+    if h.shape[-1] == 1:
+        return np.exp(-1j * dt * (h - 0.5j * decay[..., None]))
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    if np.any(decay):
+        damp = np.exp(-0.25 * dt * decay)
+        u = damp[..., :, None] * u * damp[..., None, :]
+    return u
 
 
 def _propagate_columns(
@@ -142,72 +136,67 @@ def _propagate_columns(
 
     Returns (final columns, times, P_r samples per column, population
     trajectory or None).  psi may be a vector or a (dim, n_cols) matrix.
+    The blocks of a stage do not interact, so each group of equal-size
+    blocks runs through all of the stage's steps on its own, in step order.
     """
     single = psi.ndim == 1
     cols = psi.reshape(-1, 1).astype(complex) if single else psi.astype(complex)
 
-    times = [0.0]
-    first_basis = plan.stages[0].spec.basis
-    ryd_diag = first_basis.rydberg_projector_diagonal()[:, None]
-    p_r = [np.sum(ryd_diag * np.abs(cols) ** 2, axis=0)]
-    pops = [np.abs(cols) ** 2] if record_populations else None
+    ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
+    times = [np.zeros(1)]
+    p_r = [(ryd @ np.abs(cols) ** 2)[None]]
+    pops = [np.abs(cols[None]) ** 2] if record_populations else None
 
     t_offset = 0.0
-    step_count = 0
     for stage in plan.stages:
         if stage.spec.basis.dim != cols.shape[0]:
             raise ValueError("stage basis dimension does not match the propagated state")
-        evaluator = HamiltonianEvaluator(stage.spec, noise)
         n = _stage_steps(stage, plan.policy, refine)
         dt = stage.duration / n
-        constant = _stage_is_constant(stage, noise)
-        u_const = _step_propagator(evaluator(0.5 * dt), dt) if constant else None
-        for k in range(n):
+        evaluator = HamiltonianEvaluator(stage.spec, noise, t_offset)
+        constant = evaluator.constant
+        if constant:
+            h_const = evaluator(0.5 * dt)
+        else:
+            factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
+        stage_pr = np.zeros((n, cols.shape[1]))
+        stage_pops = np.empty((n, *cols.shape)) if record_populations else None
+        for group in evaluator.block_groups():
+            n_blocks, d = group.index.shape
+            psi_g = cols[group.index]  # (n_blocks, d, n_cols)
+            ryd_g = ryd[group.index]
             if constant:
-                u = u_const
-            else:
-                t_mid = (k + 0.5) * dt
-                if noise is not None:
-                    # Intensity factors are keyed by global time.
-                    h = _with_global_time_noise(evaluator, t_mid, t_offset, noise)
+                h_g = h_const[group.index[:, :, None], group.index[:, None, :]]
+                u_const = np.exp(-1j * dt * h_g) if d == 1 else expm(-1j * dt * h_g)
+            chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * d * d))
+            for k0 in range(0, n, chunk):
+                k1 = min(n, k0 + chunk)
+                if constant:
+                    u = np.broadcast_to(u_const, (k1 - k0, *u_const.shape))
                 else:
-                    h = evaluator(t_mid)
-                u = _step_propagator(h, dt)
-            cols = u @ cols
-            step_count += 1
-            if step_count % 100 == 0 and not np.all(np.isfinite(cols)):
-                raise PropagationError(f"non-finite amplitudes at t={t_offset + (k + 1) * dt:.6f} us")
-            times.append(t_offset + (k + 1) * dt)
-            p_r.append(np.sum(ryd_diag * np.abs(cols) ** 2, axis=0))
-            if record_populations:
-                pops.append(np.abs(cols) ** 2)
+                    u = _block_exponentials(group.hermitian_stack(factors[k0:k1]), group.decay, dt)
+                traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
+                for j in range(k1 - k0):
+                    psi_g = np.matmul(u[j], psi_g, out=traj[j])
+                if not np.all(np.isfinite(psi_g)):
+                    raise PropagationError(f"non-finite amplitudes at t={t_offset + k1 * dt:.6f} us")
+                pop = np.abs(traj) ** 2
+                stage_pr[k0:k1] += np.einsum("sbdc,bd->sc", pop, ryd_g)
+                if record_populations:
+                    stage_pops[k0:k1][:, group.index] = pop
+            cols[group.index] = psi_g
+        times.append(t_offset + np.arange(1, n + 1) * dt)
+        p_r.append(stage_pr)
+        if record_populations:
+            pops.append(stage_pops)
         t_offset += stage.duration
 
-    if not np.all(np.isfinite(cols)):
-        raise PropagationError("non-finite amplitudes in final state")
-
-    times = np.asarray(times)
-    p_r = np.asarray(p_r)  # (n_samples, n_cols)
-    pop_traj = np.asarray(pops) if record_populations else None
+    times = np.concatenate(times)
+    p_r = np.concatenate(p_r)  # (n_samples, n_cols)
+    pop_traj = np.concatenate(pops) if record_populations else None
     if single:
         return cols[:, 0], times, p_r[:, 0], (pop_traj[:, :, 0] if pop_traj is not None else None)
     return cols, times, p_r, pop_traj
-
-
-def _with_global_time_noise(
-    evaluator: HamiltonianEvaluator, t_local: float, t_offset: float, noise: NoiseRealization
-) -> np.ndarray:
-    """H(t) with envelopes at stage-local time but noise at global time."""
-    from .model import envelope_value
-
-    h = evaluator._static.copy()
-    for d, k in zip(evaluator.spec.drives, evaluator._couplings):
-        f = envelope_value(d.envelope, t_local)
-        if f == 0.0:
-            continue
-        f *= noise.intensity_at(d.family, t_offset + t_local)
-        h += f * k
-    return h
 
 
 def propagate(
@@ -255,7 +244,7 @@ def propagate_matrix(
     columns: np.ndarray,
     noise: NoiseRealization | None = None,
 ):
-    """Propagate many initial states at once (one expm per step, shared).
+    """Propagate many initial states at once (the step propagators are shared).
 
     Returns (final columns, per-column norm loss, per-column integrated
     Rydberg population).

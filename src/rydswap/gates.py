@@ -562,11 +562,6 @@ def phase_optimized_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray, n_qubits: 
     return float(best)
 
 
-def rydberg_exposure(report: GateReport) -> float:
-    """Input-averaged time-integrated Rydberg population, us."""
-    return report.t_bar_r
-
-
 def conditional_rotation_fidelity(
     report: GateReport, protocol: GateProtocol, control_bits: tuple[int, ...]
 ) -> float:

@@ -54,20 +54,18 @@ class Envelope:
         return envelope_value(self, t)
 
 
-def envelope_value(env: Envelope, t: float) -> float:
-    """Evaluate an envelope at time t (us), in rad/us."""
+def envelope_value(env: Envelope, t):
+    """Evaluate an envelope at time t (us, a float or an array), in rad/us."""
     if env.kind == "zero":
-        return 0.0
+        return 0.0 * t
     if env.kind == "square":
-        return env.amplitude if env.t_start <= t < env.t_end else 0.0
+        return env.amplitude * ((env.t_start <= t) & (t < env.t_end))
     # truncated_gaussian
-    if t < env.t_start or t > env.t_end:
-        return 0.0
     half = 0.5 * (env.t_end - env.t_start)
     t_mid = env.t_start + half
-    core = math.exp(-((t - t_mid) ** 2) / (2.0 * env.sigma**2))
+    core = np.exp(-((t - t_mid) ** 2) / (2.0 * env.sigma**2))
     floor = math.exp(-(half**2) / (2.0 * env.sigma**2))
-    return env.amplitude * (core - floor)
+    return env.amplitude * (core - floor) * ((env.t_start <= t) & (t <= env.t_end))
 
 
 def gaussian_pulse(amplitude: float, t_start: float, duration: float, sigma_ratio: float = 0.25) -> Envelope:
@@ -159,13 +157,13 @@ class NoiseRealization:
     intensity_factors: dict = field(default_factory=dict)
     update_interval: float = 0.01
 
-    def intensity_at(self, family: str, t: float) -> float:
+    def intensity_at(self, family: str, t):
+        """Intensity factor of a family at time t (us, a float or an array)."""
         factors = self.intensity_factors.get(family)
         if factors is None:
             return 1.0
-        k = int(t / self.update_interval)
-        k = min(max(k, 0), len(factors) - 1)
-        return factors[k]
+        k = np.clip(np.asarray(t) / self.update_interval, 0, len(factors) - 1).astype(int)
+        return np.asarray(factors)[k]
 
 
 @dataclass(frozen=True)
@@ -259,16 +257,42 @@ class HamiltonianSpec:
         return mats
 
 
+@dataclass(frozen=True)
+class BlockGroup:
+    """Equal-size diagonal blocks of one stage's H(t).
+
+    index[b] lists the basis states of block b in increasing order.  At drive
+    factors f (one per drive) block b of H is
+
+        diag(energy[b]) + sum_d f_d couplings[d, b] - (i/2) diag(decay[b]).
+    """
+
+    index: np.ndarray  # (n_blocks, d) basis indices
+    energy: np.ndarray  # (n_blocks, d) static diagonal, rad/us
+    decay: np.ndarray  # (n_blocks, d) decay rates, 1/us
+    couplings: np.ndarray  # (n_drives, n_blocks, d, d)
+
+    def hermitian_stack(self, factors: np.ndarray) -> np.ndarray:
+        """Hermitian part of every block per row of factors: (steps, n_blocks, d, d)."""
+        h = np.tensordot(factors, self.couplings, axes=1)
+        diag = np.arange(self.index.shape[1])
+        h[..., diag, diag] += self.energy
+        return h
+
+
 class HamiltonianEvaluator:
     """Caches the static parts of H(t) for fast repeated evaluation.
 
     Splits H(t) = H_static + sum_d f_d(t) K_d with K_d the drive coupling
     matrices; only the scalar envelope values are recomputed per step.
+    Envelopes are read at stage time t, intensity noise at the global time
+    t_offset + t.
     """
 
-    def __init__(self, spec: HamiltonianSpec, noise: NoiseRealization | None = None):
+    def __init__(self, spec: HamiltonianSpec, noise: NoiseRealization | None = None, t_offset: float = 0.0):
         self.spec = spec
         self.noise = noise
+        self.t_offset = t_offset
         basis = spec.basis
         diag = spec.static_diagonal().astype(complex)
         if noise is not None and noise.doppler_shifts:
@@ -285,16 +309,64 @@ class HamiltonianEvaluator:
         self._static = np.diag(diag)
         self._couplings = spec.coupling_matrices()
 
+    def _factor(self, drive: DriveTerm, t):
+        """Amplitude of one drive at stage time t (a float or an array)."""
+        f = envelope_value(drive.envelope, t)
+        if self.noise is not None:
+            f = f * self.noise.intensity_at(drive.family, self.t_offset + t)
+        return f
+
     def __call__(self, t: float) -> np.ndarray:
         h = self._static.copy()
         for d, k in zip(self.spec.drives, self._couplings):
-            f = envelope_value(d.envelope, t)
-            if f == 0.0:
-                continue
-            if self.noise is not None:
-                f *= self.noise.intensity_at(d.family, t)
-            h += f * k
+            f = self._factor(d, t)
+            if f != 0.0:
+                h += f * k
         return h
+
+    def drive_factors(self, times: np.ndarray) -> np.ndarray:
+        """Drive amplitudes f_d(t), shape (len(times), n_drives)."""
+        f = np.zeros((len(times), len(self.spec.drives)))
+        for j, d in enumerate(self.spec.drives):
+            f[:, j] = self._factor(d, times)
+        return f
+
+    @property
+    def constant(self) -> bool:
+        """True when no drive amplitude varies within the stage."""
+        noisy = self.noise.intensity_factors if self.noise is not None else {}
+        return not any(
+            (d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0) or d.family in noisy
+            for d in self.spec.drives
+        )
+
+    def block_groups(self) -> list[BlockGroup]:
+        """H split into the connected components of its coupling pattern.
+
+        Blocks of equal size form one group; groups come in increasing
+        block size.
+        """
+        # Imported here: at module level it measured about 10% of the
+        # library's import time, which only propagation needs.
+        from scipy.sparse.csgraph import connected_components
+
+        dim = self.spec.basis.dim
+        pattern = np.zeros((dim, dim), dtype=bool)
+        for k in self._couplings:
+            pattern |= k != 0
+        n_blocks, labels = connected_components(pattern, directed=False)
+        members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
+        groups = []
+        for size in sorted({len(m) for m in members}):
+            index = np.array([m for m in members if len(m) == size])
+            rows, cols = index[:, :, None], index[:, None, :]
+            couplings = np.array([k[rows, cols] for k in self._couplings]).reshape(-1, *index.shape, size)
+            if not np.iscomplex(couplings).any():
+                # every catalog drive is real; real stacks take the faster real eigh
+                couplings = couplings.real
+            diag = np.diagonal(self._static)[index]
+            groups.append(BlockGroup(index, diag.real, -2.0 * diag.imag, couplings))
+        return groups
 
 
 def assemble_hamiltonian(

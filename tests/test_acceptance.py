@@ -579,7 +579,8 @@ def test_criterion_11_numerics_hygiene():
     params = table_params("SWAP")
     proto = make_protocol("SWAP", params)
     f_default = run_gate(proto).fidelity
-    fine = replace(proto, plan=StagePlan(proto.plan.stages, StepPolicy(gaussian_resolution=800)))
+    assert StepPolicy().gaussian_resolution == 800
+    fine = replace(proto, plan=StagePlan(proto.plan.stages, StepPolicy(gaussian_resolution=1600)))
     f_fine = run_gate(fine).fidelity
     df = abs(f_fine - f_default)
 

@@ -92,6 +92,33 @@ def test_noise_subcommand(tmp_path):
     assert 0.9 < summary["mean_fidelity"] <= 1.0
 
 
+def test_seed_from_config_and_override(tmp_path):
+    noise = ["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1"]
+
+    def run(extra, name):
+        assert run_cli(noise + extra + ["--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "summary.json").read_text())
+
+    from_config = run(["--set", "scenario.seed=5"], "config")
+    assert from_config["seed"] == 5
+    # the config seed drives the draws exactly as --seed does
+    assert run(["--seed", "5"], "flag")["mean_fidelity"] == from_config["mean_fidelity"]
+    overridden = run(["--set", "scenario.seed=5", "--seed", "9"], "override")
+    assert overridden["seed"] == 9
+    assert overridden["mean_fidelity"] != from_config["mean_fidelity"]
+    assert run([], "default")["seed"] == 0
+
+
+def test_scenario_kind_must_match_subcommand(tmp_path, capsys):
+    rc = run_cli(["gate", "--preset", "fig3a_doppler", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "'noise'" in capsys.readouterr().err
+    rc = run_cli(["gate", "--preset", "table1_swap", "--set", "scenario.calibrate=yes",
+                  "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "calibrate" in capsys.readouterr().err
+
+
 def test_trajectory_subcommand(tmp_path):
     out = tmp_path / "traj"
     rc = run_cli(["trajectory", "--preset", "table1_sqrt_iswap", "--out", str(out)])

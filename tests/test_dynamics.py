@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rydswap.basis import build_basis, eig_hermitian, qubit_scheme
+from rydswap.basis import LevelScheme, build_basis, eig_hermitian, qubit_scheme
 from rydswap.dynamics import (
     Stage,
     StagePlan,
     StepPolicy,
+    _stage_steps,
     evolve_step,
     propagate,
     propagate_matrix,
@@ -18,6 +19,8 @@ from rydswap.model import (
     DriveTerm,
     HamiltonianSpec,
     InteractionGraph,
+    NoiseRealization,
+    gaussian_pulse,
     square_pulse,
 )
 
@@ -189,6 +192,73 @@ def test_propagate_matrix_matches_vector_propagation():
         assert np.max(np.abs(final[:, j] - ref.final_state)) < 1e-12
         assert loss[j] == pytest.approx(ref.norm_loss, abs=1e-12)
         assert t_ryd[j] == pytest.approx(ref.time_integrated_rydberg, rel=1e-9)
+
+
+def _blocked_plan():
+    """Two stages on a block-diagonal H with decay.
+
+    Atom 0 has levels 0, 1 and four decaying Rydberg levels; its drives
+    couple {0, ra, rb} and {1, rc} and leave rd alone, so each level of the
+    undriven atom 1 repeats a 3-block, a 2-block and a 1-block.  The second
+    stage starts at a nonzero global time and carries the intensity-noisy
+    "omega2" family.
+    """
+    g = 1.0 / 400.0  # the catalog's Rydberg decay rate, 1/us
+    atom0 = LevelScheme(("0", "1", "ra", "rb", "rc", "rd"), (False, False) + (True,) * 4, (0.0, 0.0) + (g,) * 4)
+    basis = build_basis([atom0, qubit_scheme(("r",), g)])
+    frame = ((0, "1", TWO_PI * 3.0), (0, "rd", TWO_PI * 7.0), (1, "1", TWO_PI * 2.0), (1, "r", TWO_PI * 5.0))
+    t1, t2 = 0.13, 0.9
+    first = (DriveTerm(0, "0", "ra", square_pulse(TWO_PI * 4.0, 0.0, t1), family="omega1"),)
+    second = (
+        DriveTerm(0, "0", "ra", gaussian_pulse(TWO_PI * 9.0, 0.0, t2), family="omega1"),
+        DriveTerm(0, "ra", "rb", square_pulse(TWO_PI * 6.0, 0.0, t2), detuning=TWO_PI * 1.5, family="omega2"),
+        DriveTerm(0, "1", "rc", square_pulse(TWO_PI * 5.0, 0.0, t2), family="omega2"),
+    )
+    stages = (Stage(t1, HamiltonianSpec(basis, first, frame_detunings=frame)),
+              Stage(t2, HamiltonianSpec(basis, second, frame_detunings=frame)))
+    rng = np.random.default_rng(3)
+    track = 1.0 + 0.3 * rng.standard_normal(110)
+    noise = NoiseRealization(intensity_factors={"omega2": track}, update_interval=0.01)
+    return StagePlan(stages, StepPolicy(gaussian_resolution=200, square_resolution=20)), noise
+
+
+def test_block_kernel_matches_dense_per_step_oracle():
+    plan, noise = _blocked_plan()
+    basis = plan.stages[0].spec.basis
+    rng = np.random.default_rng(4)
+    psi0 = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    psi0 /= np.linalg.norm(psi0)
+
+    # dense midpoint H per step, intensity read at global time
+    psi, pops, t_offset = psi0, [np.abs(psi0) ** 2], 0.0
+    for stage in plan.stages:
+        spec = stage.spec
+        static = np.diag(spec.static_diagonal() - 0.5j * basis.decay_diagonal())
+        n = _stage_steps(stage, plan.policy)
+        dt = stage.duration / n
+        for k in range(n):
+            t = (k + 0.5) * dt
+            h = static.copy()
+            for d, kmat in zip(spec.drives, spec.coupling_matrices()):
+                h += d.envelope.value(t) * noise.intensity_at(d.family, t_offset + t) * kmat
+            psi = evolve_step(h, dt, psi)
+            pops.append(np.abs(psi) ** 2)
+        t_offset += stage.duration
+
+    res = propagate(plan, psi0, noise, record_populations=True)
+    assert np.max(np.abs(res.final_state - psi)) < 1e-8
+    # populations come back in basis order, one row per step
+    assert res.population_traj.shape == (len(pops), basis.dim)
+    assert np.max(np.abs(res.population_traj - np.array(pops))) < 1e-8
+    ryd = basis.rydberg_projector_diagonal()
+    assert np.max(np.abs(res.rydberg_populations - res.population_traj @ ryd)) < 1e-12
+    # the track is read at global time: the second stage starts 13 update
+    # intervals in, so delaying the track by 13 intervals (what a reading
+    # at stage time would see) changes the result
+    track = noise.intensity_factors["omega2"]
+    delayed = NoiseRealization(intensity_factors={"omega2": np.concatenate([track[:13], track])},
+                               update_interval=0.01)
+    assert np.max(np.abs(propagate(plan, psi0, delayed).final_state - psi)) > 1e-4
 
 
 def test_invalid_inputs():

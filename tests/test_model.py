@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rydswap.gates import GateParams, make_protocol, run_gate, table_params
 from rydswap.model import (
     DriveTerm,
     Envelope,
+    HamiltonianEvaluator,
     HamiltonianSpec,
     InteractionGraph,
     NoiseRealization,
@@ -231,3 +233,38 @@ def test_drive_validation():
         DriveTerm(0, "1", "1", square_pulse(1.0, 0, 1))
     with pytest.raises(KeyError):
         HamiltonianSpec(basis, (DriveTerm(0, "1", "q", square_pulse(1.0, 0, 1)),))
+
+
+@pytest.mark.parametrize(
+    "variant, control_groups, target_groups",
+    [
+        # (control-stage groups, target-stage groups), each {block size: blocks}
+        ("SWAP", None, {1: 1, 8: 1}),
+        ("C_SWAP_CCSdag", {1: 11, 2: 8}, {1: 3, 8: 3}),
+        ("C_iSWAP", {1: 11, 2: 8}, {1: 3, 8: 3}),
+        ("Ck_SWAP", {1: 33, 2: 24}, {1: 9, 8: 9}),
+        ("MUX_SWAP_3T", {1: 28, 2: 40}, {1: 28, 20: 4}),
+        ("MUX_SWAP_4T", {1: 68, 2: 128}, {1: 68, 64: 4}),
+    ],
+)
+def test_catalog_stage_block_partition(variant, control_groups, target_groups):
+    # the control level is conserved in the target stage and each control
+    # pulse couples one level pair, so every stage splits into small blocks
+    if variant.startswith("MUX"):
+        params = GateParams(omega1_max=TWO_PI * 20.0, omega2=TWO_PI * 55.0, delta=TWO_PI * 400.0,
+                            duration=5.1, v_ct=TWO_PI * 3000.0)
+    elif variant == "Ck_SWAP":
+        params = replace(table_params("C_SWAP_CCSdag"), n_controls=2)
+    else:
+        params = table_params(variant)
+    proto = make_protocol(variant, params)
+    n_controls = proto.n_controls
+    stages = proto.plan.stages
+    assert len(stages) == 2 * n_controls + 1
+    for k, stage in enumerate(stages):
+        groups = HamiltonianEvaluator(stage.spec).block_groups()
+        sizes = {g.index.shape[1]: g.index.shape[0] for g in groups}
+        assert sizes == (target_groups if k == n_controls else control_groups)
+        # the groups partition the basis
+        covered = np.sort(np.concatenate([g.index.ravel() for g in groups]))
+        assert np.array_equal(covered, np.arange(proto.basis.dim))
