@@ -1,13 +1,12 @@
 """Pulse-level simulator of Rydberg SWAP and controlled-SWAP gate protocols."""
 
-from .basis import LevelScheme, ProductBasis, build_basis, eig_hermitian, qubit_scheme
+from .basis import LevelScheme, ProductBasis, build_basis, qubit_scheme
 from .model import (
     DriveTerm,
     Envelope,
     HamiltonianSpec,
     InteractionGraph,
     NoiseRealization,
-    assemble_hamiltonian,
     envelope_value,
     standard_target_frame,
 )
@@ -19,13 +18,11 @@ __all__ = [
     "ProductBasis",
     "build_basis",
     "qubit_scheme",
-    "eig_hermitian",
     "Envelope",
     "DriveTerm",
     "InteractionGraph",
     "HamiltonianSpec",
     "NoiseRealization",
-    "assemble_hamiltonian",
     "envelope_value",
     "standard_target_frame",
     "PropagationResult",

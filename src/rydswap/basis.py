@@ -190,15 +190,3 @@ def build_basis(schemes) -> ProductBasis:
     """Construct a ProductBasis from a list of LevelScheme."""
     return ProductBasis(tuple(schemes))
 
-
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors as columns).  Raises if the input is
-    not Hermitian to 1e-10, which guards against accidentally feeding the
-    decaying (non-Hermitian) Hamiltonian to unitary-only code paths.
-    """
-    h = np.asarray(h)
-    if not np.allclose(h, h.conj().T, atol=1e-10):
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh(h)

@@ -267,8 +267,6 @@ def cmd_gate(args) -> int:
     protocol = make_protocol(variant, params)
     report = run_gate(protocol)
     summary = _emit_gate_outputs(out, variant, params, report)
-    if args.dump_trajectory:
-        _dump_trajectory(out / "trajectory.csv", protocol)
     print(f"{variant}: fidelity {summary['fidelity']:.6f} (with loss {summary['fidelity_with_loss']:.6f}), "
           f"mean loss {summary['mean_loss']:.3e}, T_bar_r {summary['t_bar_r_us']:.4f} us")
     return 0
@@ -409,6 +407,8 @@ def _load(args) -> configparser.ConfigParser:
     kind = cp.get("scenario", "kind", fallback=args.command)
     if kind != args.command:
         raise ConfigError(f"config is a {kind!r} scenario, not {args.command!r}")
+    if args.command != "noise" and cp.has_option("scenario", "seed"):
+        raise ConfigError("scenario.seed is read only by the noise subcommand")
     return cp
 
 
@@ -425,13 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: [scenario] seed, else 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for shots")
 
     p = sub.add_parser("gate", help="run one gate and emit result tables")
     common(p)
-    p.add_argument("--dump-trajectory", action="store_true")
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("calibrate", help="calibrate the exchange duration")
@@ -446,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise", help="Monte Carlo noise run")
     common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: [scenario] seed, else 0)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for shots")
     p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("trajectory", help="dump a population trajectory")

@@ -5,12 +5,15 @@ static interaction diagonals (tens of GHz) cost nothing in step size; the
 step is limited only by envelope smoothness.  Every stage Hamiltonian is
 block-diagonal (a Rydberg-excited control is not driven during the target
 stage, and each drive couples one level pair), so one kernel propagates
-each group of equal-size blocks on its own: constant stages exponentiate
-each block once with ``expm``; time-dependent stages exponentiate a stack
-of (step, block) Hamiltonians with one batched ``eigh`` of the Hermitian
-part, the (diagonal) decay split off symmetrically, and 1-dim blocks
-exactly.  A scipy explicit Runge-Kutta propagation and the dense
-``evolve_step`` are kept alongside as independent cross-checks.
+each group of equal-size blocks on its own.  The drive amplitudes are
+read at every step midpoint; a stage whose amplitudes are the same at
+every step exponentiates each block once with ``expm``, any other stage
+exponentiates a stack of (step, block) Hamiltonians with one batched
+``eigh`` of the Hermitian part, the (diagonal) decay split off
+symmetrically, and 1-dim blocks exactly.  ``propagate_matrix`` is that
+kernel, ``propagate`` its one-column view.  A scipy explicit Runge-Kutta
+propagation and the dense ``evolve_step`` are kept alongside as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -38,13 +41,9 @@ class StepPolicy:
     """Integrator step control.
 
     The step is sigma/gaussian_resolution for stages with an active
-    Gaussian envelope and duration/square_resolution otherwise.  When
-    convergence_target is set, propagate() keeps halving the step until a
-    further halving changes no output amplitude by more than the target.
+    Gaussian envelope and duration/square_resolution otherwise.
     """
 
-    convergence_target: float | None = None
-    max_refinements: int = 5
     gaussian_resolution: int = 800
     square_resolution: int = 200
 
@@ -71,18 +70,22 @@ class StagePlan:
 
 @dataclass
 class PropagationResult:
-    """Final state plus Rydberg-exposure bookkeeping.
+    """Final states plus Rydberg-exposure bookkeeping.
 
-    norm_loss is 1 - |psi|^2, the population lost to Rydberg decay.
-    rydberg_traj holds (times, P_r) samples at every integrator step;
-    time_integrated_rydberg is the trapezoid of P_r(t) in us.
+    From propagate_matrix every field but rydberg_times has a trailing
+    column axis; propagate returns the same fields without it.  norm_loss
+    is |psi0|^2 - |psi|^2, the population lost to Rydberg decay.
+    rydberg_populations holds P_r at rydberg_times (t = 0 and the end of
+    every integrator step); time_integrated_rydberg is its trapezoid in us.
+    population_traj holds |psi|^2 per basis state at the same times when
+    populations were recorded, else None.
     """
 
     final_state: np.ndarray
-    norm_loss: float
+    norm_loss: np.ndarray | float
     rydberg_times: np.ndarray
     rydberg_populations: np.ndarray
-    time_integrated_rydberg: float
+    time_integrated_rydberg: np.ndarray | float
     population_traj: np.ndarray | None = None
 
 
@@ -93,7 +96,7 @@ def evolve_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     return expm(-1j * dt * h) @ psi
 
 
-def _stage_steps(stage: Stage, policy: StepPolicy, refine: int = 0) -> int:
+def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
     """Number of uniform steps for a stage."""
     gaussian_sigmas = [
         d.envelope.sigma
@@ -104,8 +107,7 @@ def _stage_steps(stage: Stage, policy: StepPolicy, refine: int = 0) -> int:
         dt = min(gaussian_sigmas) / policy.gaussian_resolution
     else:
         dt = stage.duration / policy.square_resolution
-    n = max(1, math.ceil(stage.duration / dt))
-    return n * (2**refine)
+    return max(1, math.ceil(stage.duration / dt))
 
 
 def _block_exponentials(h: np.ndarray, decay: np.ndarray, dt: float) -> np.ndarray:
@@ -125,22 +127,21 @@ def _block_exponentials(h: np.ndarray, decay: np.ndarray, dt: float) -> np.ndarr
     return u
 
 
-def _propagate_columns(
+def propagate_matrix(
     plan: StagePlan,
-    psi: np.ndarray,
+    columns: np.ndarray,
     noise: NoiseRealization | None = None,
-    refine: int = 0,
     record_populations: bool = False,
-):
-    """Propagate column states through all stages.
+) -> PropagationResult:
+    """Propagate the column states of a (dim, n_cols) matrix through all stages.
 
-    Returns (final columns, times, P_r samples per column, population
-    trajectory or None).  psi may be a vector or a (dim, n_cols) matrix.
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
     """
-    single = psi.ndim == 1
-    cols = psi.reshape(-1, 1).astype(complex) if single else psi.astype(complex)
+    norms0 = np.sum(np.abs(columns) ** 2, axis=0)
+    if np.any(norms0 > 1.0 + 1e-9):
+        raise ValueError("initial state norm exceeds 1")
+    cols = columns.astype(complex)
 
     ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
     times = [np.zeros(1)]
@@ -151,14 +152,13 @@ def _propagate_columns(
     for stage in plan.stages:
         if stage.spec.basis.dim != cols.shape[0]:
             raise ValueError("stage basis dimension does not match the propagated state")
-        n = _stage_steps(stage, plan.policy, refine)
+        n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
         evaluator = HamiltonianEvaluator(stage.spec, noise, t_offset)
-        constant = evaluator.constant
+        factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
+        constant = np.all(factors == factors[0])
         if constant:
             h_const = evaluator(0.5 * dt)
-        else:
-            factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
         stage_pr = np.zeros((n, cols.shape[1]))
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in evaluator.block_groups():
@@ -193,10 +193,14 @@ def _propagate_columns(
 
     times = np.concatenate(times)
     p_r = np.concatenate(p_r)  # (n_samples, n_cols)
-    pop_traj = np.concatenate(pops) if record_populations else None
-    if single:
-        return cols[:, 0], times, p_r[:, 0], (pop_traj[:, :, 0] if pop_traj is not None else None)
-    return cols, times, p_r, pop_traj
+    return PropagationResult(
+        final_state=cols,
+        norm_loss=np.maximum(0.0, norms0 - np.sum(np.abs(cols) ** 2, axis=0)),
+        rydberg_times=times,
+        rydberg_populations=p_r,
+        time_integrated_rydberg=np.trapezoid(p_r, times, axis=0),
+        population_traj=np.concatenate(pops) if record_populations else None,
+    )
 
 
 def propagate(
@@ -205,56 +209,16 @@ def propagate(
     noise: NoiseRealization | None = None,
     record_populations: bool = False,
 ) -> PropagationResult:
-    """Propagate one state through the staged protocol.
-
-    Honors the plan's step policy; with a convergence_target set, the step is
-    halved (up to max_refinements times) until a further halving moves no
-    amplitude by more than the target.
-    """
-    norm0 = float(np.vdot(psi0, psi0).real)
-    if norm0 > 1.0 + 1e-9:
-        raise ValueError("initial state norm exceeds 1")
-
-    refine = 0
-    final, times, p_r, pops = _propagate_columns(plan, psi0, noise, refine, record_populations)
-    target = plan.policy.convergence_target
-    if target is not None:
-        for refine in range(1, plan.policy.max_refinements + 1):
-            finer, times, p_r, pops = _propagate_columns(plan, psi0, noise, refine, record_populations)
-            delta = float(np.max(np.abs(finer - final)))
-            final = finer
-            if delta < target:
-                break
-        else:
-            raise PropagationError(f"step refinement did not reach target {target}")
-
-    norm = float(np.vdot(final, final).real)
+    """Propagate one state: propagate_matrix without the column axis."""
+    res = propagate_matrix(plan, np.asarray(psi0)[:, None], noise, record_populations)
     return PropagationResult(
-        final_state=final,
-        norm_loss=max(0.0, norm0 - norm),
-        rydberg_times=times,
-        rydberg_populations=p_r,
-        time_integrated_rydberg=float(np.trapezoid(p_r, times)),
-        population_traj=pops,
+        final_state=res.final_state[:, 0],
+        norm_loss=float(res.norm_loss[0]),
+        rydberg_times=res.rydberg_times,
+        rydberg_populations=res.rydberg_populations[:, 0],
+        time_integrated_rydberg=float(res.time_integrated_rydberg[0]),
+        population_traj=None if res.population_traj is None else res.population_traj[..., 0],
     )
-
-
-def propagate_matrix(
-    plan: StagePlan,
-    columns: np.ndarray,
-    noise: NoiseRealization | None = None,
-):
-    """Propagate many initial states at once (the step propagators are shared).
-
-    Returns (final columns, per-column norm loss, per-column integrated
-    Rydberg population).
-    """
-    norms0 = np.sum(np.abs(columns) ** 2, axis=0)
-    final, times, p_r, _ = _propagate_columns(plan, columns, noise)
-    norms = np.sum(np.abs(final) ** 2, axis=0)
-    loss = np.maximum(0.0, norms0 - norms)
-    t_ryd = np.trapezoid(p_r, times, axis=0)
-    return final, loss, t_ryd
 
 
 def propagate_rk(

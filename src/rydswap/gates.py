@@ -483,9 +483,10 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
     for j, idx in enumerate(comp):
         columns[idx, j] = 1.0
 
-    final, loss, t_ryd = propagate_matrix(protocol.plan, columns, noise)
+    res = propagate_matrix(protocol.plan, columns, noise)
+    loss, t_ryd = res.norm_loss, res.time_integrated_rydberg
 
-    u = final[comp, :]
+    u = res.final_state[comp, :]
     u = _frame_removal_diagonal(protocol)[:, None] * u
     # Accumulated-phase sign convention (resolved against the tabulated
     # exchange phase): report the conjugate of the propagator elements.

@@ -50,9 +50,6 @@ class Envelope:
         if self.kind == "truncated_gaussian" and self.sigma <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
 
-    def value(self, t: float) -> float:
-        return envelope_value(self, t)
-
 
 def envelope_value(env: Envelope, t):
     """Evaluate an envelope at time t (us, a float or an array), in rad/us."""
@@ -331,15 +328,6 @@ class HamiltonianEvaluator:
             f[:, j] = self._factor(d, times)
         return f
 
-    @property
-    def constant(self) -> bool:
-        """True when no drive amplitude varies within the stage."""
-        noisy = self.noise.intensity_factors if self.noise is not None else {}
-        return not any(
-            (d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0) or d.family in noisy
-            for d in self.spec.drives
-        )
-
     def block_groups(self) -> list[BlockGroup]:
         """H split into the connected components of its coupling pattern.
 
@@ -360,20 +348,11 @@ class HamiltonianEvaluator:
         for size in sorted({len(m) for m in members}):
             index = np.array([m for m in members if len(m) == size])
             rows, cols = index[:, :, None], index[:, None, :]
-            couplings = np.array([k[rows, cols] for k in self._couplings]).reshape(-1, *index.shape, size)
-            if not np.iscomplex(couplings).any():
-                # every catalog drive is real; real stacks take the faster real eigh
-                couplings = couplings.real
+            # couplings are real (coupling_matrices), and real stacks take the faster real eigh
+            couplings = np.array([k[rows, cols].real for k in self._couplings]).reshape(-1, *index.shape, size)
             diag = np.diagonal(self._static)[index]
             groups.append(BlockGroup(index, diag.real, -2.0 * diag.imag, couplings))
         return groups
-
-
-def assemble_hamiltonian(
-    spec: HamiltonianSpec, t: float, noise: NoiseRealization | None = None
-) -> np.ndarray:
-    """Evaluate the dense H(t) including the -i/2 decay diagonal."""
-    return HamiltonianEvaluator(spec, noise)(t)
 
 
 def standard_target_frame(basis: ProductBasis, delta: float, atoms=None) -> tuple[tuple[int, str, float], ...]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rydswap.basis import LevelScheme, build_basis, eig_hermitian, qubit_scheme
+from rydswap.basis import LevelScheme, build_basis, qubit_scheme
 
 
 def test_counting_two_atoms_three_levels():
@@ -82,17 +82,6 @@ def test_matrix_products_match_naive_loops():
                 mm[i, j] += a[i, k] * b[k, j]
     assert np.max(np.abs(a @ b - mm)) / np.max(np.abs(mm)) < 1e-12
     assert np.max(np.abs(a @ v - mv)) / np.max(np.abs(mv)) < 1e-12
-
-
-def test_eig_hermitian_real_and_reconstructs():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    h = m + m.conj().T
-    w, v = eig_hermitian(h)
-    assert np.max(np.abs(np.imag(w))) < 1e-10
-    assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-9
-    with pytest.raises(ValueError):
-        eig_hermitian(m)
 
 
 def test_single_atom_operator_embedding():

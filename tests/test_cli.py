@@ -109,6 +109,14 @@ def test_seed_from_config_and_override(tmp_path):
     assert run([], "default")["seed"] == 0
 
 
+def test_seed_and_jobs_only_for_noise(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gate", "--preset", "table1_swap", "--jobs", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    rc = run_cli(["gate", "--preset", "table1_swap", "--set", "scenario.seed=5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+
+
 def test_scenario_kind_must_match_subcommand(tmp_path, capsys):
     rc = run_cli(["gate", "--preset", "fig3a_doppler", "--out", str(tmp_path / "o")])
     assert rc == 2

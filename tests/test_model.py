@@ -14,7 +14,6 @@ from rydswap.model import (
     HamiltonianSpec,
     InteractionGraph,
     NoiseRealization,
-    assemble_hamiltonian,
     envelope_value,
     gaussian_pulse,
     square_pulse,
@@ -67,7 +66,7 @@ def _single_atom_spec(delta):
 def test_single_atom_matrix_entries():
     delta = TWO_PI * 5.0
     basis, spec = _single_atom_spec(delta)
-    h = assemble_hamiltonian(spec, 0.5)
+    h = HamiltonianEvaluator(spec)(0.5)
     i1, ir = basis.index_of(("1",)), basis.index_of(("r",))
     assert h[ir, i1] == pytest.approx(TWO_PI * 5.0)
     assert h[i1, ir] == pytest.approx(TWO_PI * 5.0)
@@ -111,7 +110,7 @@ def test_collective_hamiltonian_matches_hand_built_matrix(seed):
         drives.append(DriveTerm(a, "1", "r", square_pulse(om2, 0.0, 1.0), family="omega2"))
     frame = standard_target_frame(basis, delta) + ((0, "r", v), (1, "r", v))
     spec = HamiltonianSpec(basis, tuple(drives), InteractionGraph(), frame, ((0, 1),))
-    h = assemble_hamiltonian(spec, 0.5)
+    h = HamiltonianEvaluator(spec)(0.5)
     ref, idx = _reference_collective_matrix(basis, om1, om2, delta, v)
     assert np.max(np.abs(h - ref)) < 1e-9 * max(om2, delta)
     irr = idx["rr"]
@@ -138,7 +137,7 @@ def test_hermiticity_of_nondecay_part():
         )
         proto = make_protocol("C_SWAP_CCSdag", params)
         for stage in proto.plan.stages:
-            h = assemble_hamiltonian(stage.spec, 0.3 * stage.duration)
+            h = HamiltonianEvaluator(stage.spec)(0.3 * stage.duration)
             h_h = (h + h.conj().T) / 2
             assert np.linalg.norm(h_h - h_h.conj().T) < 1e-12 * np.linalg.norm(h_h)
             anti = (h - h.conj().T) / 2
@@ -221,7 +220,7 @@ def test_noise_realization_enters_hamiltonian():
         intensity_factors={"omega2": np.array([0.5])},
         update_interval=10.0,
     )
-    h = assemble_hamiltonian(spec, 0.5, real)
+    h = HamiltonianEvaluator(spec, real)(0.5)
     i1, ir = basis.index_of(("1",)), basis.index_of(("r",))
     assert h[ir, i1] == pytest.approx(0.5 * TWO_PI * 5.0)
     assert h[ir, ir] == pytest.approx(TWO_PI * 0.1)
@@ -265,6 +264,8 @@ def test_catalog_stage_block_partition(variant, control_groups, target_groups):
         groups = HamiltonianEvaluator(stage.spec).block_groups()
         sizes = {g.index.shape[1]: g.index.shape[0] for g in groups}
         assert sizes == (target_groups if k == n_controls else control_groups)
+        # real couplings give real stacks, which take the real eigh
+        assert all(g.couplings.dtype == np.float64 for g in groups)
         # the groups partition the basis
         covered = np.sort(np.concatenate([g.index.ravel() for g in groups]))
         assert np.array_equal(covered, np.arange(proto.basis.dim))
