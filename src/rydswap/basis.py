@@ -143,18 +143,13 @@ class ProductBasis:
         lev = self.schemes[atom].level_index(label)
         return self.level_arrays()[atom] == lev
 
-    def rydberg_projector_diagonal(self) -> np.ndarray:
-        """Diagonal of the summed Rydberg-number operator.
+    def rydberg_masks(self) -> list[np.ndarray]:
+        """Per atom, the mask of basis states where it occupies a Rydberg-flagged level."""
+        return [np.asarray(s.rydberg_flags)[lv] for s, lv in zip(self.schemes, self.level_arrays())]
 
-        Entry k counts how many atoms of basis state k sit in a
-        Rydberg-flagged level.
-        """
-        diag = np.zeros(self.dim)
-        levels = self.level_arrays()
-        for a, scheme in enumerate(self.schemes):
-            flags = np.asarray(scheme.rydberg_flags)
-            diag += flags[levels[a]].astype(float)
-        return diag
+    def rydberg_projector_diagonal(self) -> np.ndarray:
+        """Diagonal of the summed Rydberg-number operator: the Rydberg atoms of each basis state."""
+        return np.sum(self.rydberg_masks(), axis=0, dtype=float)
 
     def decay_diagonal(self) -> np.ndarray:
         """Diagonal of the total population decay rate, 1/us."""
@@ -164,20 +159,6 @@ class ProductBasis:
             rates = np.asarray(scheme.decay_rates)
             diag += rates[levels[a]]
         return diag
-
-    def single_atom_operator(self, atom: int, op: np.ndarray) -> np.ndarray:
-        """Embed a single-atom operator into the product space.
-
-        Dense kron with identities on the other atoms.
-        """
-        n = self.schemes[atom].n_levels
-        if op.shape != (n, n):
-            raise ValueError(f"operator shape {op.shape} does not match atom {atom} ({n} levels)")
-        left = 1
-        for s in self.schemes[:atom]:
-            left *= s.n_levels
-        right = self.dim // (left * n)
-        return np.kron(np.kron(np.eye(left), op), np.eye(right)).astype(complex)
 
     def basis_state(self, labels) -> np.ndarray:
         """Unit vector for a labelled product state."""

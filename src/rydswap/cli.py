@@ -409,6 +409,9 @@ def _load(args) -> configparser.ConfigParser:
         raise ConfigError(f"config is a {kind!r} scenario, not {args.command!r}")
     if args.command != "noise" and cp.has_option("scenario", "seed"):
         raise ConfigError("scenario.seed is read only by the noise subcommand")
+    for section in ("noise", "scan"):
+        if args.command != section and cp.has_section(section):
+            raise ConfigError(f"[{section}] is read only by the {section} subcommand")
     return cp
 
 

@@ -3,17 +3,16 @@
 The integrator exponentiates H(t_mid) exactly over each step, so the large
 static interaction diagonals (tens of GHz) cost nothing in step size; the
 step is limited only by envelope smoothness.  Every stage Hamiltonian is
-block-diagonal (a Rydberg-excited control is not driven during the target
-stage, and each drive couples one level pair), so one kernel propagates
-each group of equal-size blocks on its own.  The drive amplitudes are
-read at every step midpoint; a stage whose amplitudes are the same at
-every step exponentiates each block once with ``expm``, any other stage
-exponentiates a stack of (step, block) Hamiltonians with one batched
-``eigh`` of the Hermitian part, the (diagonal) decay split off
-symmetrically, and 1-dim blocks exactly.  ``propagate_matrix`` is that
-kernel, ``propagate`` its one-column view.  A scipy explicit Runge-Kutta
-propagation and the dense ``evolve_step`` are kept alongside as
-independent cross-checks.
+block-diagonal, with blocks derived from the atoms (see
+HamiltonianSpec.block_groups), and one kernel propagates each group of
+equal-shape blocks on its own.  The drive amplitudes are read at every
+step midpoint; a stage whose amplitudes are the same at every step
+exponentiates each block once with ``expm``, any other stage each distinct
+cluster Hamiltonian once per step with a batched ``eigh``, and a block
+spanning two clusters is the Kronecker product of their exponentials.
+``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
+scipy explicit Runge-Kutta propagation and the dense ``evolve_step`` are
+kept alongside as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .model import HamiltonianEvaluator, HamiltonianSpec, NoiseRealization
+from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization, envelope_value
 
-# Step propagators are built in chunks of about this many complex elements
-# per block group, which bounds the kernel's memory at any step count.
-_CHUNK_ELEMENTS = 4096
+# Step propagators and states are built in chunks of steps of about this many
+# complex elements each, which bounds the kernel's memory at any step count.
+_CHUNK_ELEMENTS = 32768
 
 
 class PropagationError(RuntimeError):
@@ -110,20 +109,29 @@ def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
     return max(1, math.ceil(stage.duration / dt))
 
 
-def _block_exponentials(h: np.ndarray, decay: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt (h - (i/2) diag(decay))) for a stack of Hermitian blocks h.
+def _group_exponentials(group: BlockGroup, energies, phase: np.ndarray, factors: np.ndarray, dt: float) -> np.ndarray:
+    """Step propagators of a group's blocks at each row of factors (see BlockGroup).
 
-    h has shape (..., n_blocks, d, d) and decay (n_blocks, d).  1-dim
-    blocks are exact; larger ones split the decay off symmetrically around
-    the unitary part, an error far below the step's own at these rates.
+    Each distinct factor row is exponentiated once per step, by a batched
+    eigh of its real symmetric Hermitian part with the decay split off
+    symmetrically, an error far below the step's own at these rates.  A
+    block's propagator is its phase times the Kronecker product of its
+    rows' exponentials, as exp(A (+) B) = exp(A) (x) exp(B).
     """
-    if h.shape[-1] == 1:
-        return np.exp(-1j * dt * (h - 0.5j * decay[..., None]))
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
-    if np.any(decay):
-        damp = np.exp(-0.25 * dt * decay)
-        u = damp[..., :, None] * u * damp[..., None, :]
+    u = phase
+    for slot, (e, k) in enumerate(zip(energies, group.factor_couplings)):
+        h = np.tensordot(factors, k, axes=1)
+        h[..., np.arange(e.shape[1]), np.arange(e.shape[1])] += e.real
+        w, v = np.linalg.eigh(h)
+        b = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+        if np.any(e.imag):
+            damp = np.exp(0.5 * dt * e.imag)  # exp(-dt decay / 4)
+            b *= damp[..., :, None]
+            b *= damp[..., None, :]
+        b = b[:, group.rows[:, slot]]
+        # the Kronecker product, this slot's states least significant
+        da, db = u.shape[-1], b.shape[-1]
+        u = (u[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*b.shape[:-2], da * db, da * db)
     return u
 
 
@@ -159,22 +167,24 @@ def propagate_matrix(
         constant = np.all(factors == factors[0])
         if constant:
             h_const = evaluator(0.5 * dt)
+        diag = evaluator.diagonal
         stage_pr = np.zeros((n, cols.shape[1]))
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
-        for group in evaluator.block_groups():
+        for group in stage.spec.block_groups():
             n_blocks, d = group.index.shape
             psi_g = cols[group.index]  # (n_blocks, d, n_cols)
             ryd_g = ryd[group.index]
             if constant:
                 h_g = h_const[group.index[:, :, None], group.index[:, None, :]]
                 u_const = np.exp(-1j * dt * h_g) if d == 1 else expm(-1j * dt * h_g)
-            chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * d * d))
+            else:
+                energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+                phase = np.exp(-1j * dt * diag[group.index[:, 0]])[:, None, None]
+            chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * d * max(d, cols.shape[1])))
             for k0 in range(0, n, chunk):
                 k1 = min(n, k0 + chunk)
-                if constant:
-                    u = np.broadcast_to(u_const, (k1 - k0, *u_const.shape))
-                else:
-                    u = _block_exponentials(group.hermitian_stack(factors[k0:k1]), group.decay, dt)
+                u = u_const if constant else _group_exponentials(group, energies, phase, factors[k0:k1], dt)
+                u = np.broadcast_to(u, (k1 - k0, n_blocks, d, d))
                 traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
                 for j in range(k1 - k0):
                     psi_g = np.matmul(u[j], psi_g, out=traj[j])
@@ -229,15 +239,22 @@ def propagate_rk(
 ) -> np.ndarray:
     """Cross-check propagation with scipy's explicit Runge-Kutta (RK45).
 
-    Independent of the exponential stepper; used to validate it on small
-    systems.  Returns the final state only.
+    Independent of the exponential stepper and of the block structure: the
+    right-hand side is -i (diagonal + the dense couplings summed per distinct
+    envelope) y, and a call computes only the envelope values.  Used to
+    validate the stepper on small systems.  Returns the final state only.
     """
     psi = np.asarray(psi0, dtype=complex)
     for stage in plan.stages:
-        evaluator = HamiltonianEvaluator(stage.spec, None)
+        diag = -1j * HamiltonianEvaluator(stage.spec, None).diagonal
+        envelopes = list(dict.fromkeys(d.envelope for d in stage.spec.drives))
+        couplings = np.zeros((len(envelopes), len(diag), len(diag)), dtype=complex)
+        for d, k in zip(stage.spec.drives, stage.spec.coupling_matrices()):
+            couplings[envelopes.index(d.envelope)] -= 1j * k
 
         def rhs(t, y):
-            return -1j * (evaluator(t) @ y)
+            f = np.array([envelope_value(env, t) for env in envelopes])
+            return diag * y + f @ (couplings @ y)
 
         sol = solve_ivp(
             rhs,

@@ -188,18 +188,12 @@ class HamiltonianSpec:
             scheme.level_index(d.lower)
             scheme.level_index(d.upper)
 
-    def _rydberg_mask(self, atom: int) -> np.ndarray:
-        """Mask of basis states where ``atom`` occupies a Rydberg level."""
-        scheme = self.basis.schemes[atom]
-        levels = self.basis.level_arrays()[atom]
-        flags = np.asarray(scheme.rydberg_flags)
-        return flags[levels]
-
     def blocked_states(self) -> np.ndarray:
         """Mask of product states excluded by the collective truncation."""
+        ryd = self.basis.rydberg_masks()
         blocked = np.zeros(self.basis.dim, dtype=bool)
         for i, j in self.collective_pairs:
-            blocked |= self._rydberg_mask(i) & self._rydberg_mask(j)
+            blocked |= ryd[i] & ryd[j]
         return blocked
 
     def static_diagonal(self) -> np.ndarray:
@@ -221,67 +215,149 @@ class HamiltonianSpec:
                 e += energy
         return e
 
-    def coupling_matrices(self) -> list[np.ndarray]:
-        """(|upper><lower| + h.c.)/2 embedded per drive, in drive order.
+    def drive_edges(self) -> np.ndarray:
+        """The basis-state pairs the drives couple: rows drive, lower state, upper state.
 
-        Under the collective truncation, logical drives are gated on the
-        partner atoms being logical, and all couplings into the projected-out
-        doubly-Rydberg pair states are zeroed.
+        Under the collective truncation, logical drives act only while the
+        partner atoms are logical, and no pair touches a projected-out
+        doubly-Rydberg state.
         """
+        basis, ryd, levels = self.basis, self.basis.rydberg_masks(), self.basis.level_arrays()
         blocked = self.blocked_states()
-        mats = []
-        for d in self.drives:
-            scheme = self.basis.schemes[d.atom]
-            n = scheme.n_levels
-            op = np.zeros((n, n), dtype=complex)
-            op[scheme.level_index(d.upper), scheme.level_index(d.lower)] = 0.5
-            op += op.conj().T
-            mat = self.basis.single_atom_operator(d.atom, op)
-
-            logical_drive = not (
-                scheme.rydberg_flags[scheme.level_index(d.lower)]
-                or scheme.rydberg_flags[scheme.level_index(d.upper)]
-            )
+        edges = [np.zeros((3, 0), dtype=int)]
+        for k, d in enumerate(self.drives):
+            scheme = basis.schemes[d.atom]
+            lo, up = scheme.level_index(d.lower), scheme.level_index(d.upper)
             gate = ~blocked
-            if logical_drive:
+            if not (scheme.rydberg_flags[lo] or scheme.rydberg_flags[up]):
                 for i, j in self.collective_pairs:
-                    partner = j if d.atom == i else (i if d.atom == j else None)
-                    if partner is not None:
-                        gate = gate & ~self._rydberg_mask(partner)
-            if not gate.all():
-                mat = mat * gate[None, :] * gate[:, None]
-            mats.append(mat)
+                    if d.atom in (i, j):
+                        gate = gate & ~ryd[j if d.atom == i else i]
+            src = np.flatnonzero((levels[d.atom] == lo) & gate)
+            dst = src + (up - lo) * (basis.dim // math.prod(s.n_levels for s in basis.schemes[: d.atom + 1]))
+            keep = gate[dst]
+            edges.append(np.array([np.full(np.sum(keep), k), src[keep], dst[keep]]))
+        return np.concatenate(edges, axis=1)
+
+    def coupling_matrices(self) -> np.ndarray:
+        """(|upper><lower| + h.c.)/2 per drive, in drive order, on the pairs of drive_edges."""
+        drive, src, dst = self.drive_edges()
+        mats = np.zeros((len(self.drives), self.basis.dim, self.basis.dim), dtype=complex)
+        mats[drive, src, dst] = mats[drive, dst, src] = 0.5
         return mats
+
+    def block_groups(self) -> tuple[BlockGroup, ...]:
+        """H's diagonal blocks by increasing size, derived from the atoms and cached by structure.
+
+        Undriven atoms keep their level, which labels the blocks.  Driven
+        atoms that no interaction or collective pair links form separate
+        clusters, and a block is the Kronecker product of one coupled
+        component per cluster.  Labels that shift a cluster alike share its
+        factor rows.
+        """
+        key = (self.basis, tuple((d.atom, d.lower, d.upper) for d in self.drives), self.interactions,
+               self.collective_pairs)
+        if key not in _BLOCK_GROUPS:
+            if len(_BLOCK_GROUPS) >= 64:
+                _BLOCK_GROUPS.clear()
+            _BLOCK_GROUPS[key] = _derive_block_groups(self)
+        return _BLOCK_GROUPS[key]
 
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """Equal-size diagonal blocks of one stage's H(t).
+    """Equal-shape diagonal blocks of one stage's H(t), as Kronecker products.
 
-    index[b] lists the basis states of block b in increasing order.  At drive
-    factors f (one per drive) block b of H is
-
-        diag(energy[b]) + sum_d f_d couplings[d, b] - (i/2) diag(decay[b]).
+    index[b] lists block b's basis states in the Kronecker order of its
+    factors, the first most significant.  Factor k stacks the distinct
+    Hamiltonians of one cluster: row r lives on the basis states
+    factor_index[k][r], along which only the cluster's atoms change level.
+    Its diagonal is H's there minus the entry at the first of them, and at
+    drive factors f_d its couplings are sum_d f_d factor_couplings[k][d, r].
+    Block b is the Kronecker sum of the rows rows[b] plus, on its whole
+    diagonal, H's entry at index[b, 0].  Without factors the blocks are 1-dim.
     """
 
     index: np.ndarray  # (n_blocks, d) basis indices
-    energy: np.ndarray  # (n_blocks, d) static diagonal, rad/us
-    decay: np.ndarray  # (n_blocks, d) decay rates, 1/us
-    couplings: np.ndarray  # (n_drives, n_blocks, d, d)
+    rows: np.ndarray  # (n_blocks, n_factors)
+    factor_index: tuple[np.ndarray, ...]  # per factor (n_rows, d_k)
+    factor_couplings: tuple[np.ndarray, ...]  # per factor (n_drives, n_rows, d_k, d_k), real
 
-    def hermitian_stack(self, factors: np.ndarray) -> np.ndarray:
-        """Hermitian part of every block per row of factors: (steps, n_blocks, d, d)."""
-        h = np.tensordot(factors, self.couplings, axes=1)
-        diag = np.arange(self.index.shape[1])
-        h[..., diag, diag] += self.energy
-        return h
+    def __post_init__(self):
+        for a in (self.index, self.rows, *self.factor_index, *self.factor_couplings):
+            a.setflags(write=False)  # groups are cached and shared
+
+
+# Block structures by (basis, drive level pairs, interactions, collective
+# pairs).  The energies enter at propagation time, so the Monte Carlo shots
+# and the detuning, amplitude and duration scan points of a protocol share one.
+_BLOCK_GROUPS: dict = {}
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Smallest member of each node's connected component under the edges i-j."""
+    label, i, j = np.arange(n), np.concatenate([i, j]), np.concatenate([j, i])
+    while True:
+        new = label.copy()
+        np.minimum.at(new, i, label[j])
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _derive_block_groups(spec: HamiltonianSpec) -> tuple[BlockGroup, ...]:
+    """H's blocks from the atoms; see HamiltonianSpec.block_groups."""
+    basis, (drive, src, dst) = spec.basis, spec.drive_edges()
+    levels = np.array(basis.level_arrays()).T  # (dim, n_atoms)
+    block_of = _components(basis.dim, src, dst)
+    driven = sorted({d.atom for d in spec.drives})
+    links = [(i, j) for i, _, j, _, _ in spec.interactions.entries] + list(spec.collective_pairs)
+    links = np.array([link for link in links if set(link) <= set(driven)], dtype=int).reshape(-1, 2)
+    cluster_of = _components(basis.n_atoms, links[:, 0], links[:, 1])
+    clusters = [[a for a in driven if cluster_of[a] == c] for c in dict.fromkeys(cluster_of[driven])]
+    shifts = spec.interactions.diagonal(basis)
+
+    groups: dict = {}  # factor sizes -> (blocks, block rows, per factor {key: row}, per factor [(index, couplings)])
+    for b in np.unique(block_of):
+        states = np.flatnonzero(block_of == b)
+        # the clusters whose levels vary along the block, with their level tuples
+        local = [(atoms, *np.unique(levels[states][:, atoms], axis=0, return_inverse=True)) for atoms in clusters]
+        local = [x for x in local if len(x[1]) > 1] if len(states) > 1 else []
+        sizes = tuple(len(u) for _, u, _ in local)
+        index = states[np.lexsort([inv.ravel() for _, _, inv in reversed(local)])] if local else states
+        blocks, block_rows, row_of, factors = groups.setdefault(sizes, ([], [], [{} for _ in local],
+                                                                        [[] for _ in local]))
+        rows = []
+        for slot, (atoms, u, _) in enumerate(local):
+            fidx = np.moveaxis(index.reshape(sizes), slot, 0).reshape(sizes[slot], -1)[:, 0]
+            pos = np.full(basis.dim, -1)
+            pos[fidx] = np.arange(len(fidx))
+            inside = (pos[src] >= 0) & (pos[dst] >= 0)
+            k = np.zeros((len(spec.drives), len(fidx), len(fidx)))
+            k[drive[inside], pos[src[inside]], pos[dst[inside]]] = 0.5
+            k += np.swapaxes(k, 1, 2)
+            # labelling atoms that shift the cluster alike share its row
+            key = (tuple(atoms), u.tobytes(), k.tobytes(), (shifts[fidx] - shifts[fidx[0]]).tobytes())
+            rows.append(row_of[slot].setdefault(key, len(factors[slot])))
+            if rows[-1] == len(factors[slot]):
+                factors[slot].append((fidx, k))
+        blocks.append(index)
+        block_rows.append(rows)
+    return tuple(
+        BlockGroup(np.array(blocks), np.array(block_rows, dtype=int).reshape(len(blocks), -1),
+                   tuple(np.array([i for i, _ in f]) for f in factors),
+                   tuple(np.ascontiguousarray(np.moveaxis([k for _, k in f], 0, 1)) for f in factors))
+        for _, (blocks, block_rows, _, factors) in sorted(groups.items(), key=lambda g: (math.prod(g[0]), g[0]))
+    )
 
 
 class HamiltonianEvaluator:
     """Caches the static parts of H(t) for fast repeated evaluation.
 
-    Splits H(t) = H_static + sum_d f_d(t) K_d with K_d the drive coupling
-    matrices; only the scalar envelope values are recomputed per step.
+    Splits H(t) = diag(diagonal) + sum_d f_d(t) K_d: diagonal holds the
+    static energies and Doppler shifts minus i/2 the decay rates (zero on
+    excluded states), and the dense coupling matrices K_d are built on the
+    first call only; the block kernel reads diagonal and drive_factors.
     Envelopes are read at stage time t, intensity noise at the global time
     t_offset + t.
     """
@@ -303,56 +379,22 @@ class HamiltonianEvaluator:
                 diag[mask] += noise.doppler_shifts[atom]
         diag -= 0.5j * basis.decay_diagonal()
         diag[spec.blocked_states()] = 0.0
-        self._static = np.diag(diag)
-        self._couplings = spec.coupling_matrices()
-
-    def _factor(self, drive: DriveTerm, t):
-        """Amplitude of one drive at stage time t (a float or an array)."""
-        f = envelope_value(drive.envelope, t)
-        if self.noise is not None:
-            f = f * self.noise.intensity_at(drive.family, self.t_offset + t)
-        return f
+        self.diagonal = diag
+        self._couplings = None
 
     def __call__(self, t: float) -> np.ndarray:
-        h = self._static.copy()
-        for d, k in zip(self.spec.drives, self._couplings):
-            f = self._factor(d, t)
-            if f != 0.0:
-                h += f * k
-        return h
+        if self._couplings is None:
+            self._couplings = self.spec.coupling_matrices()
+        return np.diag(self.diagonal) + np.tensordot(self.drive_factors(np.array([t]))[0], self._couplings, axes=1)
 
     def drive_factors(self, times: np.ndarray) -> np.ndarray:
         """Drive amplitudes f_d(t), shape (len(times), n_drives)."""
         f = np.zeros((len(times), len(self.spec.drives)))
         for j, d in enumerate(self.spec.drives):
-            f[:, j] = self._factor(d, times)
+            f[:, j] = envelope_value(d.envelope, times)
+            if self.noise is not None:
+                f[:, j] *= self.noise.intensity_at(d.family, self.t_offset + times)
         return f
-
-    def block_groups(self) -> list[BlockGroup]:
-        """H split into the connected components of its coupling pattern.
-
-        Blocks of equal size form one group; groups come in increasing
-        block size.
-        """
-        # Imported here: at module level it measured about 10% of the
-        # library's import time, which only propagation needs.
-        from scipy.sparse.csgraph import connected_components
-
-        dim = self.spec.basis.dim
-        pattern = np.zeros((dim, dim), dtype=bool)
-        for k in self._couplings:
-            pattern |= k != 0
-        n_blocks, labels = connected_components(pattern, directed=False)
-        members = [np.flatnonzero(labels == b) for b in range(n_blocks)]
-        groups = []
-        for size in sorted({len(m) for m in members}):
-            index = np.array([m for m in members if len(m) == size])
-            rows, cols = index[:, :, None], index[:, None, :]
-            # couplings are real (coupling_matrices), and real stacks take the faster real eigh
-            couplings = np.array([k[rows, cols].real for k in self._couplings]).reshape(-1, *index.shape, size)
-            diag = np.diagonal(self._static)[index]
-            groups.append(BlockGroup(index, diag.real, -2.0 * diag.imag, couplings))
-        return groups
 
 
 def standard_target_frame(basis: ProductBasis, delta: float, atoms=None) -> tuple[tuple[int, str, float], ...]:

@@ -84,16 +84,6 @@ def test_matrix_products_match_naive_loops():
     assert np.max(np.abs(a @ v - mv)) / np.max(np.abs(mv)) < 1e-12
 
 
-def test_single_atom_operator_embedding():
-    basis = build_basis([qubit_scheme()] * 2)
-    op = np.zeros((3, 3), dtype=complex)
-    op[2, 1] = 1.0
-    full = basis.single_atom_operator(1, op)
-    assert full[basis.index_of(("0", "r")), basis.index_of(("0", "1"))] == 1.0
-    assert full[basis.index_of(("1", "r")), basis.index_of(("1", "1"))] == 1.0
-    assert np.count_nonzero(full) == 3
-
-
 def test_rydberg_and_decay_diagonals():
     basis = build_basis([qubit_scheme(("r",), 0.25)] * 2)
     ryd = basis.rydberg_projector_diagonal()

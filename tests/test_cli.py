@@ -117,6 +117,21 @@ def test_seed_and_jobs_only_for_noise(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("override", ["noise.temp_uk=150", "scan.parameter=delta"])
+def test_sections_only_for_their_subcommand(tmp_path, capsys, override):
+    rc = run_cli(["gate", "--preset", "table1_swap", "--set", override, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"[{override.split('.')[0]}]" in capsys.readouterr().err
+
+
+def test_sections_accepted_by_their_subcommand(tmp_path):
+    # each subcommand still takes its own section, here from a --set override
+    assert run_cli(["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1",
+                    "--out", str(tmp_path / "n")]) == 0
+    assert run_cli(["scan", "--preset", "fig4c_vscan", "--set", "scan.values_mhz=1001.2",
+                    "--out", str(tmp_path / "s")]) == 0
+
+
 def test_scenario_kind_must_match_subcommand(tmp_path, capsys):
     rc = run_cli(["gate", "--preset", "fig3a_doppler", "--out", str(tmp_path / "o")])
     assert rc == 2

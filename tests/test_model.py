@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rydswap.basis import build_basis, qubit_scheme
+from rydswap.basis import LevelScheme, build_basis, qubit_scheme
 from rydswap.dynamics import Stage, StagePlan, propagate
 from rydswap.gates import GateParams, make_protocol, run_gate, table_params
 from rydswap.model import (
@@ -226,12 +226,28 @@ def test_noise_realization_enters_hamiltonian():
     assert h[ir, ir] == pytest.approx(TWO_PI * 0.1)
 
 
+def test_drive_coupling_embedding():
+    # a drive on atom 1 couples its two levels whatever atom 0's level is
+    basis = build_basis([qubit_scheme()] * 2)
+    spec = HamiltonianSpec(basis, (DriveTerm(1, "1", "r", square_pulse(1.0, 0.0, 1.0)),))
+    (full,) = spec.coupling_matrices()
+    for a in ("0", "1", "r"):
+        assert full[basis.index_of((a, "r")), basis.index_of((a, "1"))] == 0.5
+        assert full[basis.index_of((a, "1")), basis.index_of((a, "r"))] == 0.5
+    assert np.count_nonzero(full) == 6
+
+
 def test_drive_validation():
     basis = build_basis([qubit_scheme()])
     with pytest.raises(ValueError):
         DriveTerm(0, "1", "1", square_pulse(1.0, 0, 1))
     with pytest.raises(KeyError):
         HamiltonianSpec(basis, (DriveTerm(0, "1", "q", square_pulse(1.0, 0, 1)),))
+
+
+# the target stage's largest group: (distinct blocks, factor sizes)
+_TARGET_DISTINCT = {"SWAP": (1, (8,)), "C_SWAP_CCSdag": (2, (8,)), "C_iSWAP": (2, (8,)), "Ck_SWAP": (3, (8,)),
+                    "MUX_SWAP_3T": (3, (20,)), "MUX_SWAP_4T": (3, (8, 8))}
 
 
 @pytest.mark.parametrize(
@@ -248,7 +264,9 @@ def test_drive_validation():
 )
 def test_catalog_stage_block_partition(variant, control_groups, target_groups):
     # the control level is conserved in the target stage and each control
-    # pulse couples one level pair, so every stage splits into small blocks
+    # pulse couples one level pair, so every stage splits into small blocks;
+    # in the target stage a control in |0> or |1> only labels the block, and
+    # MUX_SWAP_4T's two target pairs do not interact, so its blocks factor
     if variant.startswith("MUX"):
         params = GateParams(omega1_max=TWO_PI * 20.0, omega2=TWO_PI * 55.0, delta=TWO_PI * 400.0,
                             duration=5.1, v_ct=TWO_PI * 3000.0)
@@ -261,11 +279,76 @@ def test_catalog_stage_block_partition(variant, control_groups, target_groups):
     stages = proto.plan.stages
     assert len(stages) == 2 * n_controls + 1
     for k, stage in enumerate(stages):
-        groups = HamiltonianEvaluator(stage.spec).block_groups()
+        groups = stage.spec.block_groups()
         sizes = {g.index.shape[1]: g.index.shape[0] for g in groups}
         assert sizes == (target_groups if k == n_controls else control_groups)
         # real couplings give real stacks, which take the real eigh
-        assert all(g.couplings.dtype == np.float64 for g in groups)
+        assert all(k.dtype == np.float64 for g in groups for k in g.factor_couplings)
         # the groups partition the basis
         covered = np.sort(np.concatenate([g.index.ravel() for g in groups]))
         assert np.array_equal(covered, np.arange(proto.basis.dim))
+    target = stages[n_controls].spec.block_groups()[-1]
+    n_distinct, factor_sizes = _TARGET_DISTINCT[variant]
+    assert len(np.unique(target.rows, axis=0)) == n_distinct
+    assert tuple(i.shape[1] for i in target.factor_index) == factor_sizes
+    assert math.prod(factor_sizes) == target.index.shape[1]
+
+
+def test_block_structure_shared_across_energies():
+    # the structure is cached per spec structure: a detuning or amplitude
+    # change (a scan point) reuses it, an interaction change does not
+    params = table_params("C_SWAP_CCSdag")
+    target = make_protocol("C_SWAP_CCSdag", params).plan.stages[1].spec
+    scanned = make_protocol("C_SWAP_CCSdag", replace(params, delta=TWO_PI * 900.0, omega2=TWO_PI * 80.0))
+    assert scanned.plan.stages[1].spec.block_groups() is target.block_groups()
+    moved = make_protocol("C_SWAP_CCSdag", replace(params, v_ct=params.v_ct / 2))
+    assert moved.plan.stages[1].spec.block_groups() is not target.block_groups()
+
+
+def _random_spec(rng):
+    """A few atoms with 1-2 decaying Rydberg levels, random drives, interactions and collective pairs."""
+    n = int(rng.integers(1, 5))
+    schemes = []
+    for _ in range(n):
+        k = int(rng.integers(1, 3))
+        schemes.append(LevelScheme(("0", "1") + tuple(f"r{i}" for i in range(k)), (False, False) + (True,) * k,
+                                   (0.0, 0.0) + tuple(rng.uniform(0.0, 0.01, k))))
+    drives = []
+    for _ in range(int(rng.integers(0, 5))):
+        a = int(rng.integers(n))
+        lo, up = rng.choice(schemes[a].labels, 2, replace=False)
+        drives.append(DriveTerm(a, str(lo), str(up), square_pulse(1.0, 0.0, 1.0), detuning=float(rng.normal()),
+                                doppler_sensitive=bool(rng.integers(2))))
+    interactions, pairs = {}, []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                ri, rj = (rng.choice(schemes[a].labels[2:]) for a in (i, j))
+                interactions[(i, str(ri), j, str(rj))] = float(rng.choice([0.0, 1.0, 2.0]))
+            if rng.random() < 0.3:
+                pairs.append((i, j))
+    frame = tuple((a, str(rng.choice(schemes[a].labels)), float(rng.normal())) for a in range(n))
+    return HamiltonianSpec(build_basis(schemes), tuple(drives), InteractionGraph.from_dict(interactions), frame,
+                           tuple(pairs))
+
+
+def test_block_groups_reassemble_the_dense_hamiltonian():
+    # the atom-derived blocks, with their shared factor rows and Kronecker
+    # sums, rebuild the dense H exactly on random specs, Doppler shifts and
+    # undriven collective partners included
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        spec = _random_spec(rng)
+        shifts = tuple(rng.normal(size=spec.basis.n_atoms))
+        evaluator = HamiltonianEvaluator(spec, NoiseRealization(doppler_shifts=shifts))
+        f = rng.normal(size=len(spec.drives))
+        diag = evaluator.diagonal
+        h = np.zeros((spec.basis.dim,) * 2, dtype=complex)
+        for g in spec.block_groups():
+            for index, rows in zip(g.index, g.rows):
+                block = np.array([[diag[index[0]]]])
+                for row, fi, k in zip(rows, g.factor_index, g.factor_couplings):
+                    factor = np.tensordot(f, k[:, row], axes=1) + np.diag(diag[fi[row]] - diag[fi[row][0]])
+                    block = np.kron(block, np.eye(len(factor))) + np.kron(np.eye(len(block)), factor)
+                h[np.ix_(index, index)] += block
+        assert np.max(np.abs(h - np.diag(diag) - np.tensordot(f, spec.coupling_matrices(), axes=1))) < 1e-12
