@@ -221,15 +221,6 @@ class PhasePrediction:
     phi_rc11: float
     phi_1c11: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "rc01": self.phi_rc01,
-            "1c01": self.phi_1c01,
-            "rc00": self.phi_rc00,
-            "rc11": self.phi_rc11,
-            "1c11": self.phi_1c11,
-        }
-
 
 def predict_phases(omega2: float, delta: float, v: float, t_gate: float) -> PhasePrediction:
     """Light-shift phase catalog for the five far-detuned input classes."""

@@ -66,16 +66,18 @@ _GATE_KEYS = {
     "n_controls": ("n_controls", 1.0),
 }
 
+# [noise] key -> (spec part, field, reader).  Only the keys a config gives
+# reach the specs, so the library's defaults hold for the rest.
 _NOISE_KEYS = {
-    "temp_uk": "temp_uk",
-    "mass_kg": "mass_kg",
-    "lambda1_nm": "lambda1_nm",
-    "lambda2_nm": "lambda2_nm",
-    "counter_propagating": "counter_propagating",
-    "di_i_omega1": "di_i_omega1",
-    "di_i_omega2": "di_i_omega2",
-    "update_interval_us": "update_interval_us",
-    "n_shots": "n_shots",
+    "temp_uk": ("doppler", "temperature_K", lambda sec, key: sec.getfloat(key) / 1e6),
+    "mass_kg": ("doppler", "mass_kg", lambda sec, key: sec.getfloat(key)),
+    "lambda1_nm": ("doppler", "lambda1_m", lambda sec, key: sec.getfloat(key) / 1e9),
+    "lambda2_nm": ("doppler", "lambda2_m", lambda sec, key: sec.getfloat(key) / 1e9),
+    "counter_propagating": ("doppler", "counter_propagating", lambda sec, key: sec.getboolean(key)),
+    "di_i_omega1": ("widths", "omega1", lambda sec, key: sec.getfloat(key)),
+    "di_i_omega2": ("widths", "omega2", lambda sec, key: sec.getfloat(key)),
+    "update_interval_us": ("intensity", "update_interval", lambda sec, key: sec.getfloat(key)),
+    "n_shots": ("noise", "n_shots", lambda sec, key: sec.getint(key)),
 }
 
 _SCAN_KEYS = {"parameter": None, "values_mhz": None, "values": None, "metric": None}
@@ -138,6 +140,8 @@ def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
         except ValueError:
             raise ConfigError(f"gate.{key} must be numeric, got {raw!r}") from None
         if key == "n_controls":
+            if not value.is_integer():
+                raise ConfigError(f"gate.n_controls must be an integer, got {raw!r}")
             kwargs["n_controls"] = int(value)
         else:
             kwargs[field] = value * scale
@@ -163,29 +167,13 @@ def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
     if not cp.has_section("noise"):
         raise ConfigError("noise scenario needs a [noise] section")
     sec = cp["noise"]
-    doppler = None
-    if "temp_uk" in sec:
-        doppler = DopplerSpec(
-            temperature_K=sec.getfloat("temp_uk") * 1e-6,
-            mass_kg=sec.getfloat("mass_kg", fallback=2.2069e-25),
-            lambda1_m=sec.getfloat("lambda1_nm", fallback=459.6) * 1e-9,
-            lambda2_m=sec.getfloat("lambda2_nm", fallback=1040.0) * 1e-9,
-            counter_propagating=sec.getboolean("counter_propagating", fallback=True),
-        )
-    widths = {}
-    if "di_i_omega1" in sec:
-        widths["omega1"] = sec.getfloat("di_i_omega1")
-    if "di_i_omega2" in sec:
-        widths["omega2"] = sec.getfloat("di_i_omega2")
-    intensity = None
-    if widths:
-        intensity = IntensitySpec(widths, sec.getfloat("update_interval_us", fallback=0.01))
-    return NoiseSpec(
-        doppler=doppler,
-        intensity=intensity,
-        n_shots=sec.getint("n_shots", fallback=40),
-        seed=seed,
-    )
+    given = {"doppler": {}, "widths": {}, "intensity": {}, "noise": {}}
+    for key in sec:
+        part, field, read = _NOISE_KEYS[key]
+        given[part][field] = read(sec, key)
+    doppler = DopplerSpec(**given["doppler"]) if "temperature_K" in given["doppler"] else None
+    intensity = IntensitySpec(given["widths"], **given["intensity"]) if given["widths"] else None
+    return NoiseSpec(doppler=doppler, intensity=intensity, seed=seed, **given["noise"])
 
 
 def _fmt(x: float) -> str:

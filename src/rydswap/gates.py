@@ -10,6 +10,10 @@ composes to the identity rather than -1; the realized gate matrix is then
 read out in the interaction picture of the static frame (the deterministic
 diagonal frame phases are removed) before the tabulated single-qubit phase
 adjustments are applied.
+
+Each member of the family is one catalog row (``_Member``); its ideal
+permutation, interaction graph, control pulses and collective truncation
+are all derived from that row.
 """
 
 from __future__ import annotations
@@ -34,19 +38,53 @@ from .model import (
 
 TWO_PI = 2.0 * math.pi
 
-VARIANTS = (
-    "SWAP",
-    "iSWAP",
-    "sqrt_iSWAP",
-    "bSWAP",
-    "C_iSWAP",
-    "C_SWAP_CCSdag",
-    "Ck_SWAP",
-    "MUX_SWAP_4T",
-    "MUX_SWAP_3T",
-)
 
-_CONTROLLED = ("C_iSWAP", "C_SWAP_CCSdag", "Ck_SWAP", "MUX_SWAP_4T", "MUX_SWAP_3T")
+@dataclass(frozen=True)
+class _Member:
+    """One member of the gate family: every fact that sets it apart.
+
+    Targets count from 0 after the controls.  routes[c] is the target pair
+    exchanged while the controls read c, or None (with several controls c is
+    1 only when all read 1; without controls there is one reading, 0).
+    levels[c] is the Rydberg level reading c is pulsed to, or None; through
+    v_ct it blocks every target outside route c.  The blockade pairs are the
+    target pairs within one blockade radius: they interact through v_tt and
+    form the collective truncation.
+    """
+
+    n_targets: int = 2
+    routes: tuple = ((0, 1),)
+    levels: tuple = ()
+    blockade: tuple = ((0, 1),)
+    iswap: bool = False  # the exchange carries a factor i
+    adjust: tuple = ()  # final virtual-Z adjustments, (phase/pi, who, level)
+    flank: tuple = ()  # targets bit-flipped before and after the exchange
+    k_controls: bool = False  # GateParams.n_controls sets the number of controls
+
+
+# Controls carry their correction on |0>, the level that makes the Rydberg
+# round trip; the two printed forms (-pi/2 on c for the conditional iSWAP,
+# +pi/2 on c for the CCS+CSWAP composite) are this same operation up to a
+# global phase.
+_CATALOG = {
+    "SWAP": _Member(adjust=((-0.2971, "targets", "1"),)),
+    "iSWAP": _Member(iswap=True, adjust=((-0.5, "targets", "1"),)),
+    "sqrt_iSWAP": _Member(),
+    "bSWAP": _Member(adjust=((-0.2971, "targets", "1"),), flank=(1,)),
+    "C_iSWAP": _Member(routes=(None, (0, 1)), levels=("r", None), iswap=True,
+                       adjust=((-0.5, "targets", "1"), (-0.5, "controls", "0"))),
+    "C_SWAP_CCSdag": _Member(routes=(None, (0, 1)), levels=("r", None), adjust=((-0.5, "controls", "0"),)),
+    "Ck_SWAP": _Member(routes=(None, (0, 1)), levels=("r", None), adjust=((-0.5, "controls", "0"),),
+                       k_controls=True),
+    "MUX_SWAP_4T": _Member(4, routes=((0, 1), (2, 3)), levels=("rP", "rD"), blockade=((0, 1), (2, 3))),
+    # The hub shares both exchange channels and all three targets
+    # sit inside one blockade radius, so the whole trio forms a
+    # single collective cluster; anything less breaks the
+    # hub-exchange symmetry of the shared intermediate.
+    "MUX_SWAP_3T": _Member(3, routes=((0, 1), (0, 2)), levels=("rP", "rD"), blockade=((0, 1), (0, 2), (1, 2))),
+}
+
+VARIANTS = tuple(_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -56,7 +94,8 @@ class GateParams:
     v_cc defaults to |v_ct| (close-packed multi-control geometry); the
     interaction_overrides mapping replaces individual graph entries, keyed
     (atom_i, level_i, atom_j, level_j) -> shift, for user-supplied
-    anisotropic couplings.
+    anisotropic couplings.  n_controls is Ck_SWAP's k (at least 1); every
+    other variant takes only 1.
     """
 
     omega1_max: float
@@ -149,117 +188,65 @@ def _permutation_ideal(n_qubits: int, mapper) -> np.ndarray:
     return u
 
 
-def _exchange(bits, a, b):
-    out = list(bits)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
+def _member(variant: str, n_controls: int) -> tuple[_Member, int]:
+    """The variant's catalog row and its number of control atoms."""
+    if variant not in _CATALOG:
+        raise ValueError(f"unknown variant {variant!r} (choose from {VARIANTS})")
+    member = _CATALOG[variant]
+    if (n_controls < 1) if member.k_controls else (n_controls != 1):
+        raise ValueError(f"{variant} needs n_controls {'>= 1' if member.k_controls else '= 1'}, got {n_controls}")
+    return member, (n_controls if member.levels else 0)
+
+
+def _flank(member: _Member, k: int) -> np.ndarray:
+    """Permutation that flips the bits of the flank targets."""
+    flip = {k + t for t in member.flank}
+    return _permutation_ideal(k + member.n_targets, lambda b: (tuple(x ^ (q in flip) for q, x in enumerate(b)), 1.0))
 
 
 def ideal_unitary(variant: str, n_controls: int = 1) -> np.ndarray:
-    if variant == "SWAP":
-        return _permutation_ideal(2, lambda b: (_exchange(b, 0, 1), 1.0))
-    if variant == "iSWAP":
-        return _permutation_ideal(2, lambda b: (_exchange(b, 0, 1), 1j if b[0] != b[1] else 1.0))
+    member, k = _member(variant, n_controls)
     if variant == "sqrt_iSWAP":
         u = np.eye(4, dtype=complex)
         u[1, 1] = u[2, 2] = 1.0 / math.sqrt(2.0)
         u[1, 2] = u[2, 1] = 1j / math.sqrt(2.0)
         return u
-    if variant == "bSWAP":
-        x2 = _permutation_ideal(2, lambda b: ((b[0], 1 - b[1]), 1.0))
-        swap = ideal_unitary("SWAP")
-        return x2 @ swap @ x2
-    if variant == "C_iSWAP":
-        u = np.eye(8, dtype=complex)
-        u[4:8, 4:8] = ideal_unitary("iSWAP")
-        return u
-    if variant == "C_SWAP_CCSdag":
-        u = np.eye(8, dtype=complex)
-        u[4:8, 4:8] = ideal_unitary("SWAP")
-        u[7, 7] *= np.exp(-0.5j * math.pi)
-        return u
-    if variant == "Ck_SWAP":
-        k = n_controls
 
-        def mapper(bits):
-            if all(bits[:k]):
-                return bits[:k] + _exchange(bits[k:], 0, 1), 1.0
+    def mapper(bits):
+        route = member.routes[int(all(bits[:k])) if k else 0]
+        if route is None:
             return bits, 1.0
+        i, j = k + route[0], k + route[1]
+        out = list(bits)
+        out[i], out[j] = bits[j], bits[i]
+        return tuple(out), (1j if member.iswap and bits[i] != bits[j] else 1.0)
 
-        return _permutation_ideal(k + 2, mapper)
-    if variant == "MUX_SWAP_4T":
-
-        def mapper(bits):
-            c, t = bits[0], list(bits[1:])
-            if c == 0:
-                t[0], t[1] = t[1], t[0]
-            else:
-                t[2], t[3] = t[3], t[2]
-            return (c, *t), 1.0
-
-        return _permutation_ideal(5, mapper)
-    if variant == "MUX_SWAP_3T":
-
-        def mapper(bits):
-            c, t = bits[0], list(bits[1:])
-            if c == 0:
-                t[0], t[1] = t[1], t[0]
-            else:
-                t[0], t[2] = t[2], t[0]
-            return (c, *t), 1.0
-
-        return _permutation_ideal(4, mapper)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-# Final virtual-Z adjustments, (phase/pi, who, level).  Controls carry their
-# correction on |0>, the level that makes the Rydberg round trip; the two
-# printed forms (-pi/2 on c for the conditional iSWAP, +pi/2 on c for the
-# CCS+CSWAP composite) are this same operation up to a global phase.
-_PHASE_ADJUST = {
-    "SWAP": ((-0.2971, "targets", "1"),),
-    "iSWAP": ((-0.5, "targets", "1"),),
-    "sqrt_iSWAP": (),
-    "bSWAP": ((-0.2971, "targets", "1"),),
-    "C_iSWAP": ((-0.5, "targets", "1"), (-0.5, "controls", "0")),
-    "C_SWAP_CCSdag": ((-0.5, "controls", "0"),),
-    "Ck_SWAP": ((-0.5, "controls", "0"),),
-    "MUX_SWAP_4T": (),
-    "MUX_SWAP_3T": (),
-}
+    u = _permutation_ideal(k + member.n_targets, mapper)
+    if variant == "C_SWAP_CCSdag":
+        u[7, 7] *= np.exp(-0.5j * math.pi)
+    if member.flank:
+        x = _flank(member, k)
+        u = x @ u @ x
+    return u
 
 
 # ---------------------------------------------------------------------------
 # Protocol construction
 
 
-def _interaction_graph(variant: str, params: GateParams, n_controls: int, n_targets: int) -> InteractionGraph:
-    entries: dict = {}
+def _interaction_graph(member: _Member, params: GateParams, n_controls: int) -> InteractionGraph:
     t0 = n_controls  # first target atom index
-    if variant == "MUX_SWAP_4T":
-        entries[(t0 + 0, "r", t0 + 1, "r")] = params.v_tt
-        entries[(t0 + 2, "r", t0 + 3, "r")] = params.v_tt
-        for t in (t0 + 2, t0 + 3):
-            entries[(0, "rP", t, "r")] = params.v_ct
-        for t in (t0 + 0, t0 + 1):
-            entries[(0, "rD", t, "r")] = params.v_ct
-    elif variant == "MUX_SWAP_3T":
-        entries[(t0 + 0, "r", t0 + 1, "r")] = params.v_tt
-        entries[(t0 + 0, "r", t0 + 2, "r")] = params.v_tt
-        entries[(t0 + 1, "r", t0 + 2, "r")] = params.v_tt
-        entries[(0, "rP", t0 + 2, "r")] = params.v_ct
-        entries[(0, "rD", t0 + 1, "r")] = params.v_ct
-    else:
-        for i in range(n_targets):
-            for j in range(i + 1, n_targets):
-                entries[(t0 + i, "r", t0 + j, "r")] = params.v_tt
-        for c in range(n_controls):
-            for t in range(n_targets):
-                entries[(c, "r", t0 + t, "r")] = params.v_ct
-        v_cc = abs(params.v_ct) if params.v_cc is None else params.v_cc
-        for c1 in range(n_controls):
-            for c2 in range(c1 + 1, n_controls):
-                entries[(c1, "r", c2, "r")] = v_cc
+    entries = {(t0 + i, "r", t0 + j, "r"): params.v_tt for i, j in member.blockade}
+    for c in range(n_controls):
+        for level, route in zip(member.levels, member.routes):
+            for t in range(member.n_targets):
+                if level and t not in (route or ()):
+                    entries[(c, level, t0 + t, "r")] = params.v_ct
+    v_cc = abs(params.v_ct) if params.v_cc is None else params.v_cc
+    for c1 in range(n_controls):
+        for c2 in range(c1 + 1, n_controls):
+            for level in filter(None, member.levels):
+                entries[(c1, level, c2, level)] = v_cc
     if params.interaction_overrides:
         entries.update(params.interaction_overrides)
     return InteractionGraph.from_dict(entries)
@@ -267,46 +254,23 @@ def _interaction_graph(variant: str, params: GateParams, n_controls: int, n_targ
 
 def make_protocol(variant: str, params: GateParams) -> GateProtocol:
     """Assemble stages, ideal unitary and phase adjustments for a variant."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r} (choose from {VARIANTS})")
-    mux = variant.startswith("MUX")
-    if variant in _CONTROLLED and params.v_ct == 0.0:
+    member, n_controls = _member(variant, params.n_controls)
+    if member.levels and params.v_ct == 0.0:
         raise ValueError(f"{variant} requires a control-target interaction v_ct")
 
-    n_controls = params.n_controls if variant == "Ck_SWAP" else (1 if variant in _CONTROLLED else 0)
-    n_targets = {"MUX_SWAP_4T": 4, "MUX_SWAP_3T": 3}.get(variant, 2)
-
+    pulses = tuple((str(c), level) for c, level in enumerate(member.levels) if level)
     target_scheme = qubit_scheme(("r",), params.decay_rate)
-    if mux:
-        control_scheme = qubit_scheme(("rP", "rD"), params.decay_rate)
-    else:
-        control_scheme = qubit_scheme(("r",), params.decay_rate)
-    basis = build_basis([control_scheme] * n_controls + [target_scheme] * n_targets)
+    control_scheme = qubit_scheme(tuple(filter(None, member.levels)), params.decay_rate)
+    basis = build_basis([control_scheme] * n_controls + [target_scheme] * member.n_targets)
 
-    interactions = _interaction_graph(variant, params, n_controls, n_targets)
+    interactions = _interaction_graph(member, params, n_controls)
     frame = standard_target_frame(basis, params.delta, atoms=range(n_controls, basis.n_atoms))
     t_pi = params.control_pi_time
-
+    pairs = ()
     if params.model == "collective":
-        t0 = n_controls
-        if variant == "MUX_SWAP_4T":
-            pairs = ((t0, t0 + 1), (t0 + 2, t0 + 3))
-        elif variant == "MUX_SWAP_3T":
-            # The hub shares both exchange channels and all three targets
-            # sit inside one blockade radius, so the whole trio forms a
-            # single collective cluster; anything less breaks the
-            # hub-exchange symmetry of the shared intermediate.
-            pairs = ((t0, t0 + 1), (t0, t0 + 2), (t0 + 1, t0 + 2))
-        else:
-            pairs = ((t0, t0 + 1),)
-    else:
-        pairs = ()
+        pairs = tuple((n_controls + i, n_controls + j) for i, j in member.blockade)
 
     def control_stage(control: int, sign: float) -> Stage:
-        if mux:
-            pulses = (("0", "rP"), ("1", "rD"))
-        else:
-            pulses = (("0", "r"),)
         drives = tuple(
             DriveTerm(
                 control,
@@ -353,25 +317,17 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
     for c in reversed(range(n_controls)):
         stages.append(control_stage(c, -1.0))
 
-    adjust = []
-    for phi_pi, who, level in _PHASE_ADJUST[variant]:
-        if who == "targets":
-            atoms = range(n_controls, basis.n_atoms)
-        else:
-            atoms = range(n_controls)
-        adjust.extend((a, level, phi_pi * math.pi) for a in atoms)
+    atoms = {"controls": range(n_controls), "targets": range(n_controls, basis.n_atoms)}
+    adjust = tuple((a, level, phi_pi * math.pi) for phi_pi, who, level in member.adjust for a in atoms[who])
 
-    conjugation = None
-    if variant == "bSWAP":
-        x2 = _permutation_ideal(2, lambda b: ((b[0], 1 - b[1]), 1.0))
-        conjugation = (x2, x2)
+    conjugation = (_flank(member, n_controls),) * 2 if member.flank else None
 
     return GateProtocol(
         variant=variant,
         basis=basis,
         plan=StagePlan(tuple(stages)),
-        ideal=ideal_unitary(variant, n_controls),
-        phase_adjust=tuple(adjust),
+        ideal=ideal_unitary(variant, params.n_controls),
+        phase_adjust=adjust,
         n_controls=n_controls,
         params=params,
         conjugation=conjugation,
@@ -381,7 +337,7 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
 def two_target_plan(params: GateParams, duration: float | None = None) -> StagePlan:
     """Bare two-target exchange stage, used by the duration calibration."""
     p = params if duration is None else replace(params, duration=duration)
-    proto = make_protocol("SWAP", replace(p, v_ct=0.0))
+    proto = make_protocol("SWAP", replace(p, v_ct=0.0, n_controls=1))
     return proto.plan
 
 

@@ -29,8 +29,7 @@ TWO_PI = 2.0 * math.pi
 class Envelope:
     """Time envelope of a drive amplitude.
 
-    kind is one of ``truncated_gaussian``, ``square`` or ``zero``.  The
-    truncated Gaussian is
+    kind is ``truncated_gaussian`` or ``square``.  The truncated Gaussian is
 
         amplitude * (exp(-(t - t_mid)^2 / 2 sigma^2) - exp(-(T/2)^2 / 2 sigma^2))
 
@@ -45,7 +44,7 @@ class Envelope:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("truncated_gaussian", "square", "zero"):
+        if self.kind not in ("truncated_gaussian", "square"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind == "truncated_gaussian" and self.sigma <= 0:
             raise ValueError("truncated_gaussian needs sigma > 0")
@@ -53,8 +52,6 @@ class Envelope:
 
 def envelope_value(env: Envelope, t):
     """Evaluate an envelope at time t (us, a float or an array), in rad/us."""
-    if env.kind == "zero":
-        return 0.0 * t
     if env.kind == "square":
         return env.amplitude * ((env.t_start <= t) & (t < env.t_end))
     # truncated_gaussian

@@ -1,8 +1,12 @@
 import json
 import math
+from importlib import resources
+
 import pytest
 
-from rydswap.cli import main
+from rydswap.cli import _gate_params, _noise_spec, _parse_config, main, preset_path
+from rydswap.gates import table_params
+from rydswap.noise import DopplerSpec, NoiseSpec
 from rydswap.tables import CellDiff
 
 
@@ -140,6 +144,29 @@ def test_scenario_kind_must_match_subcommand(tmp_path, capsys):
                   "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "calibrate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["table1_swap", "table1_iswap", "table1_sqrt_iswap", "table1_c_iswap",
+                                    "table1_cswap"])
+def test_table_presets_are_the_published_operating_points(preset):
+    # the presets and gates.table_params are two copies of the same points
+    with resources.as_file(preset_path(preset)) as path:
+        variant, params = _gate_params(_parse_config(path, []))
+    assert params == table_params(variant)
+
+
+@pytest.mark.parametrize("value", ["2.7", "two"])
+def test_non_integer_n_controls_rejected(tmp_path, capsys, value):
+    rc = run_cli(["gate", "--preset", "table1_cswap", "--set", "gate.variant=Ck_SWAP",
+                  "--set", f"gate.n_controls={value}", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "n_controls" in capsys.readouterr().err
+
+
+def test_noise_defaults_are_the_library_defaults():
+    with resources.as_file(preset_path("fig3a_doppler")) as path:
+        spec = _noise_spec(_parse_config(path, []), seed=0)
+    assert spec == NoiseSpec(DopplerSpec(150e-6), n_shots=40, seed=0)
 
 
 def test_trajectory_subcommand(tmp_path):

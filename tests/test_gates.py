@@ -16,6 +16,7 @@ from rydswap.gates import (
     rotation_fidelity,
     run_gate,
     table_params,
+    two_target_plan,
 )
 
 TWO_PI = 2 * math.pi
@@ -114,10 +115,49 @@ class TestProtocolConstruction:
         with pytest.raises(ValueError):
             GateParams(omega1_max=1, omega2=1, delta=1, duration=1, model="dense")
 
+    @pytest.mark.parametrize("variant, k", [("Ck_SWAP", 0), ("Ck_SWAP", -1), ("C_SWAP_CCSdag", 2),
+                                            ("SWAP", 0), ("MUX_SWAP_3T", 2)])
+    def test_n_controls_honoured_or_rejected(self, variant, k):
+        with pytest.raises(ValueError, match="n_controls"):
+            make_protocol(variant, replace(table_params("C_SWAP_CCSdag"), n_controls=k))
+
+    def test_two_target_plan_from_multi_control_params(self):
+        # the duration calibration of a C_k-SWAP operating point runs the bare pair
+        plan = two_target_plan(replace(table_params("C_SWAP_CCSdag"), n_controls=2))
+        assert plan.stages[0].spec.basis.n_atoms == 2
+
     def test_mux_control_scheme(self):
         proto = make_protocol("MUX_SWAP_3T", replace(table_params("C_SWAP_CCSdag"), v_ct=TWO_PI * 3000))
         assert proto.basis.schemes[0].labels == ("0", "1", "rP", "rD")
         assert len(proto.plan.stages[0].spec.drives) == 2
+
+    @pytest.mark.parametrize("variant, k, model, pulses, entries, pairs", [
+        # rP (control |0>) blocks the pair outside route (t1, t2), rD the pair outside (t3, t4)
+        ("MUX_SWAP_4T", 1, "collective", (("0", "rP"), ("1", "rD")),
+         [(0, "rP", 3, "r", "ct"), (0, "rP", 4, "r", "ct"), (0, "rD", 1, "r", "ct"), (0, "rD", 2, "r", "ct"),
+          (1, "r", 2, "r", "tt"), (3, "r", 4, "r", "tt")], ((1, 2), (3, 4))),
+        # hub t1 exchanges with t2 on control |0> and with t3 on control |1>
+        ("MUX_SWAP_3T", 1, "collective", (("0", "rP"), ("1", "rD")),
+         [(0, "rP", 3, "r", "ct"), (0, "rD", 2, "r", "ct"),
+          (1, "r", 2, "r", "tt"), (1, "r", 3, "r", "tt"), (2, "r", 3, "r", "tt")], ((1, 2), (1, 3), (2, 3))),
+        ("Ck_SWAP", 2, "collective", (("0", "r"),),
+         [(0, "r", 1, "r", "cc"), (0, "r", 2, "r", "ct"), (0, "r", 3, "r", "ct"),
+          (1, "r", 2, "r", "ct"), (1, "r", 3, "r", "ct"), (2, "r", 3, "r", "tt")], ((2, 3),)),
+        ("C_SWAP_CCSdag", 1, "full", (("0", "r"),),
+         [(0, "r", 1, "r", "ct"), (0, "r", 2, "r", "ct"), (1, "r", 2, "r", "tt")], ()),
+    ])
+    def test_catalog_blockade_graph_and_pulses(self, variant, k, model, pulses, entries, pairs):
+        # v_ct < 0 so that the default v_cc = |v_ct| is told apart from v_ct
+        params = replace(table_params("C_SWAP_CCSdag"), v_ct=-3000.0, n_controls=k, model=model)
+        shift = {"tt": params.v_tt, "ct": -3000.0, "cc": 3000.0}
+        proto = make_protocol(variant, params)
+        expected = tuple(sorted((i, a, j, b, shift[v]) for i, a, j, b, v in entries))
+        for stage in proto.plan.stages:
+            assert stage.spec.interactions.entries == expected
+            assert stage.spec.collective_pairs == pairs
+        for c in range(k):
+            drives = proto.plan.stages[c].spec.drives
+            assert tuple((d.atom, d.lower, d.upper) for d in drives) == tuple((c, lo, up) for lo, up in pulses)
 
 
 class TestRunGate:
