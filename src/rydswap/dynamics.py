@@ -6,17 +6,28 @@ step is limited only by envelope smoothness.  Every stage Hamiltonian is
 block-diagonal, with blocks derived from the atoms (see
 HamiltonianSpec.block_groups), and one kernel propagates each group of
 equal-shape blocks on its own.  The drive amplitudes are read at every
-step midpoint; a stage whose amplitudes are the same at every step
-exponentiates each block once with ``expm``, any other stage each distinct
-cluster Hamiltonian once per step with a batched ``eigh``, and a block
-spanning two clusters is the Kronecker product of their exponentials.
-``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
-scipy explicit Runge-Kutta propagation and the dense ``evolve_step`` are
-kept alongside as independent cross-checks.
+step midpoint.  A stage whose amplitudes are the same at every step
+exponentiates each block once with ``expm``.  In any other stage a step's
+cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
+an intensity factor per noisy family), the coordinates of its drive row in
+the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
+function of them.  So each distinct cluster Hamiltonian is exponentiated,
+by a batched ``eigh``, only at a tensor grid of Chebyshev-Lobatto nodes on
+the box those coordinates fill, sized by the Bernstein-ellipse bound, and a
+step's exponential is the Lagrange-weighted sum of the node exponentials
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
+Where the grid would outnumber the steps the nodes are the steps
+themselves.  The interpolant is checked against a direct exponential at
+the step of largest Lebesgue sum.  A block spanning two clusters is the
+Kronecker product of their exponentials.  ``propagate_matrix`` is that
+kernel, ``propagate`` its one-column view.  A scipy explicit Runge-Kutta
+propagation and the dense ``evolve_step`` are kept alongside as
+independent cross-checks.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,9 +41,21 @@ from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseReali
 # complex elements each, which bounds the kernel's memory at any step count.
 _CHUNK_ELEMENTS = 32768
 
+# Time-dependent stages exponentiate at interpolation nodes of their drive
+# rows: directions of the rows' affine span below _RANK_TOL times the
+# largest are dropped, each axis gets the nodes whose Bernstein-ellipse bound
+# reaches _NODE_TARGET, and a gap above _CHECK_TOL between the interpolant
+# and a direct exponential raises PropagationError.
+_RANK_TOL = 1e-12
+_NODE_TARGET = 1e-14
+_CHECK_TOL = 1e-10
+
+_log = logging.getLogger("rydswap")
+
 
 class PropagationError(RuntimeError):
-    """Non-finite amplitudes during integration (step too large or bad spec)."""
+    """Non-finite amplitudes during integration (step too large or bad spec), or
+    interpolated step exponentials that miss their checked bound."""
 
 
 @dataclass(frozen=True)
@@ -109,18 +132,16 @@ def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
     return max(1, math.ceil(stage.duration / dt))
 
 
-def _group_exponentials(group: BlockGroup, energies, phase: np.ndarray, factors: np.ndarray, dt: float) -> np.ndarray:
-    """Step propagators of a group's blocks at each row of factors (see BlockGroup).
+def _factor_exponentials(group: BlockGroup, energies, rows: np.ndarray, dt: float) -> list[np.ndarray]:
+    """exp(-i dt H) of every factor row of a group at each drive-factor row (see BlockGroup).
 
-    Each distinct factor row is exponentiated once per step, by a batched
-    eigh of its real symmetric Hermitian part with the decay split off
-    symmetrically, an error far below the step's own at these rates.  A
-    block's propagator is its phase times the Kronecker product of its
-    rows' exponentials, as exp(A (+) B) = exp(A) (x) exp(B).
+    Per factor, shape (len(rows), n_rows, d_k, d_k).  Each is a batched
+    eigh of the real symmetric Hermitian part with the decay split off
+    symmetrically, an error far below the step's own at these rates.
     """
-    u = phase
-    for slot, (e, k) in enumerate(zip(energies, group.factor_couplings)):
-        h = np.tensordot(factors, k, axes=1)
+    out = []
+    for e, k in zip(energies, group.factor_couplings):
+        h = np.tensordot(rows, k, axes=1)
         h[..., np.arange(e.shape[1]), np.arange(e.shape[1])] += e.real
         w, v = np.linalg.eigh(h)
         b = (v * np.exp(-1j * dt * w)[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -128,11 +149,105 @@ def _group_exponentials(group: BlockGroup, energies, phase: np.ndarray, factors:
             damp = np.exp(0.5 * dt * e.imag)  # exp(-dt decay / 4)
             b *= damp[..., :, None]
             b *= damp[..., None, :]
+        out.append(b)
+    return out
+
+
+def _assemble(group: BlockGroup, phase: np.ndarray, factor_exps: list[np.ndarray]) -> np.ndarray:
+    """Step propagators of a group's blocks: the phase times the Kronecker product
+    of the blocks' factor rows, as exp(A (+) B) = exp(A) (x) exp(B)."""
+    u = phase
+    for slot, b in enumerate(factor_exps):
         b = b[:, group.rows[:, slot]]
         # the Kronecker product, this slot's states least significant
         da, db = u.shape[-1], b.shape[-1]
         u = (u[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*b.shape[:-2], da * db, da * db)
     return u
+
+
+def _affine_axes(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal axes (r, n_drives) of the affine span of the rows and each row's coordinates (n, r)."""
+    diff = factors - factors[0]
+    _, s, vt = np.linalg.svd(diff, full_matrices=False)
+    r = int(np.sum(s > _RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    return vt[:r], diff @ vt[:r].T
+
+
+def _axis_nodes(tau: float) -> float:
+    """Fewest Chebyshev-Lobatto nodes that interpolate exp(-i dt (A + s h B)), s in [-1, 1], to _NODE_TARGET.
+
+    tau = dt h |B|.  On the Bernstein ellipse E_rho the exponential is at
+    most exp(tau (rho - 1/rho) / 2), so degree n errs by at most
+    4 M rho^-n / (rho - 1) (Trefethen, ATAP, Thm 8.2), minimized over rho.
+    Beyond 64 nodes this is inf, and the steps become the nodes.
+    """
+    rho = np.geomspace(1.0 + 1e-3, 1e4, 400)
+    n = np.arange(64)[:, None]
+    log_bound = np.log(4.0) + 0.5 * tau * (rho - 1.0 / rho) - np.log(rho - 1.0) - n * np.log(rho)
+    ok = np.min(log_bound, axis=1) <= math.log(_NODE_TARGET)
+    return int(np.argmax(ok)) + 1 if ok.any() else math.inf
+
+
+def _lobatto(m: int) -> np.ndarray:
+    """m Chebyshev-Lobatto nodes cos(pi j / (m - 1)) of [-1, 1] (one node: +1)."""
+    return np.cos(np.pi * np.arange(m) / max(1, m - 1))
+
+
+def _lagrange(s: np.ndarray, m: int) -> np.ndarray:
+    """Lagrange basis values (len(s), m) at the m Chebyshev-Lobatto nodes, barycentric form."""
+    lam = (-1.0) ** np.arange(m)
+    lam[[0, -1]] *= 0.5
+    diff = s[:, None] - _lobatto(m)
+    hit = diff == 0.0
+    w = lam / np.where(hit, 1.0, diff)
+    w /= np.sum(w, axis=1, keepdims=True)
+    at_node = np.any(hit, axis=1)
+    w[at_node] = hit[at_node]
+    return w
+
+
+def _nodes(group: BlockGroup, factors: np.ndarray, axes: np.ndarray, coords: np.ndarray, dt: float):
+    """Interpolation nodes for one time-dependent stage and group.
+
+    Returns the node rows, the per-axis Lagrange weights of every step
+    (None when the nodes are the step rows themselves) and the nodes per
+    axis.  The nodes form a tensor Chebyshev-Lobatto grid on the bounding
+    box of the steps' coordinates in the affine span of the drive rows.
+    """
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    half = 0.5 * (hi - lo)
+    norms = [max(np.max(np.linalg.norm(np.tensordot(v, k, axes=1), 2, axis=(-2, -1))) for k in group.factor_couplings)
+             for v in axes]
+    counts = tuple(_axis_nodes(dt * h * b) for h, b in zip(half, norms))
+    if math.prod(counts) >= len(factors):
+        return factors, None, counts
+    mid = lo + half
+    grid = [mid[a] + half[a] * _lobatto(m) for a, m in enumerate(counts)]
+    node_coords = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, len(counts))
+    weights = [_lagrange((coords[:, a] - mid[a]) / half[a], m) for a, m in enumerate(counts)]
+    return factors[0] + node_coords @ axes, weights, counts
+
+
+def _weighted(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """w @ f over f's first axis, as one real GEMM on f's real and imaginary parts."""
+    return (w @ f.reshape(len(f), -1).view(float)).view(complex).reshape(len(w), *f.shape[1:])
+
+
+def _tensor_weights(weights: list[np.ndarray], k0: int, k1: int) -> np.ndarray:
+    """Weights (k1 - k0, n_nodes) of steps k0..k1 on the tensor grid, the last axis fastest."""
+    w = np.ones((k1 - k0, 1))
+    for wa in weights:
+        w = (w[:, :, None] * wa[k0:k1, None, :]).reshape(k1 - k0, -1)
+    return w
+
+
+def _interpolation_gap(group: BlockGroup, energies, factors: np.ndarray, node_exps, weights, dt: float) -> float:
+    """Largest entry gap between the interpolant and a direct exponential, at the step of largest Lebesgue sum."""
+    lebesgue = np.prod([np.sum(np.abs(w), axis=1) for w in weights], axis=0)
+    k = int(np.argmax(lebesgue))
+    w = _tensor_weights(weights, k, k + 1)
+    direct = _factor_exponentials(group, energies, factors[k:k + 1], dt)
+    return max(float(np.max(np.abs(_weighted(w, f) - g))) for f, g in zip(node_exps, direct))
 
 
 def propagate_matrix(
@@ -157,7 +272,7 @@ def propagate_matrix(
     pops = [np.abs(cols[None]) ** 2] if record_populations else None
 
     t_offset = 0.0
-    for stage in plan.stages:
+    for i_stage, stage in enumerate(plan.stages):
         if stage.spec.basis.dim != cols.shape[0]:
             raise ValueError("stage basis dimension does not match the propagated state")
         n = _stage_steps(stage, plan.policy)
@@ -167,6 +282,8 @@ def propagate_matrix(
         constant = np.all(factors == factors[0])
         if constant:
             h_const = evaluator(0.5 * dt)
+        else:
+            axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
         stage_pr = np.zeros((n, cols.shape[1]))
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
@@ -174,20 +291,39 @@ def propagate_matrix(
             n_blocks, d = group.index.shape
             psi_g = cols[group.index]  # (n_blocks, d, n_cols)
             ryd_g = ryd[group.index]
-            if constant:
-                h_g = h_const[group.index[:, :, None], group.index[:, None, :]]
-                u_const = np.exp(-1j * dt * h_g) if d == 1 else expm(-1j * dt * h_g)
+            u_fixed = None
+            if d == 1:
+                u_fixed = np.exp(-1j * dt * diag[group.index])[..., None]
+            elif constant:
+                u_fixed = expm(-1j * dt * h_const[group.index[:, :, None], group.index[:, None, :]])
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
                 phase = np.exp(-1j * dt * diag[group.index[:, 0]])[:, None, None]
+                nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
+                gap = 0.0
+                if weights is not None:
+                    node_exps = _factor_exponentials(group, energies, nodes, dt)
+                    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+                _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
+                           i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
+                if gap > _CHECK_TOL:
+                    raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
             chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * d * max(d, cols.shape[1])))
             for k0 in range(0, n, chunk):
                 k1 = min(n, k0 + chunk)
-                u = u_const if constant else _group_exponentials(group, energies, phase, factors[k0:k1], dt)
-                u = np.broadcast_to(u, (k1 - k0, n_blocks, d, d))
-                traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
-                for j in range(k1 - k0):
-                    psi_g = np.matmul(u[j], psi_g, out=traj[j])
+                if u_fixed is not None:
+                    u = np.broadcast_to(u_fixed, (k1 - k0, n_blocks, d, d))
+                else:  # without weights the nodes are the steps
+                    u = _assemble(group, phase, _factor_exponentials(group, energies, factors[k0:k1], dt)
+                                  if weights is None else
+                                  [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
+                if d == 1:
+                    traj = np.cumprod(u, axis=0) * psi_g
+                    psi_g = traj[-1]
+                else:
+                    traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
+                    for j in range(k1 - k0):
+                        psi_g = np.matmul(u[j], psi_g, out=traj[j])
                 if not np.all(np.isfinite(psi_g)):
                     raise PropagationError(f"non-finite amplitudes at t={t_offset + k1 * dt:.6f} us")
                 pop = np.abs(traj) ** 2

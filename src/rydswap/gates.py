@@ -19,6 +19,7 @@ are all derived from that row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,6 +116,8 @@ class GateParams:
     def __post_init__(self):
         if self.model not in ("collective", "full"):
             raise ValueError(f"model must be 'collective' or 'full', got {self.model!r}")
+        if not isinstance(self.n_controls, numbers.Integral):
+            raise ValueError(f"n_controls must be an integer, got {self.n_controls!r}")
 
     @property
     def decay_rate(self) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -11,6 +11,17 @@ from scipy.optimize import minimize
 from .gates import GateParams, make_protocol, rotation_fidelity, run_gate
 
 METRICS = ("fidelity", "rotation_fidelity", "infidelity_with_loss")
+_INT_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type == "int")
+
+
+def _with_values(base: GateParams, names, values) -> GateParams:
+    """base with the named fields set, each cast to its field's type.
+
+    An integer field takes an integral value as int and anything else
+    unchanged, for GateParams to reject.
+    """
+    return replace(base, **{name: int(v) if name in _INT_FIELDS and float(v).is_integer() else float(v)
+                            for name, v in zip(names, values)})
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,8 @@ def scan(spec: ScanSpec) -> list[ScanRow]:
     and the scan continues."""
     rows = []
     for v in spec.values:
-        params = replace(spec.base, **{spec.parameter: float(v)})
         try:
+            params = _with_values(spec.base, (spec.parameter,), (v,))
             val, report = evaluate_metric(spec.variant, params, spec.metric)
             rows.append(
                 ScanRow(
@@ -128,13 +139,12 @@ def optimize(
         if n_eval >= budget:
             return best["val"] + 1e6
         n_eval += 1
-        params = replace(base, **{f: float(v) for f, v in zip(free, x)})
         for f, v in zip(free, x):
             lo, hi = bounds.get(f, (None, None))
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 return best["val"] + 1e6
         try:
-            val, _ = evaluate_metric(variant, params, metric)
+            val, _ = evaluate_metric(variant, _with_values(base, free, x), metric)
         except Exception:
             return best["val"] + 1e6
         signed = minimize_sign * val
@@ -187,7 +197,7 @@ def optimize(
             objective(x)
 
     best_val = minimize_sign * best["val"]
-    best_params = replace(base, **{f: float(v) for f, v in zip(free, best["x"])})
+    best_params = _with_values(base, free, best["x"])
     return OptimizeResult(params=best_params, metric=float(best_val), n_evaluations=n_eval,
                           budget_exhausted=n_eval >= budget, trace=trace)
 

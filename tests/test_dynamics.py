@@ -5,17 +5,25 @@ import numpy as np
 import pytest
 
 from rydswap.basis import LevelScheme, build_basis, qubit_scheme
+from rydswap import dynamics
 from rydswap.dynamics import (
+    PropagationError,
     Stage,
     StagePlan,
     StepPolicy,
+    _affine_axes,
+    _axis_nodes,
+    _factor_exponentials,
+    _nodes,
     _stage_steps,
+    _tensor_weights,
+    _weighted,
     evolve_step,
     propagate,
     propagate_matrix,
     propagate_rk,
 )
-from rydswap.gates import GateParams, make_protocol, table_params, two_target_plan
+from rydswap.gates import GateParams, make_protocol, run_gate, table_params, two_target_plan
 from rydswap.model import (
     DriveTerm,
     HamiltonianEvaluator,
@@ -331,6 +339,93 @@ def test_merged_and_factored_kernel_matches_dense_oracle(name):
     cols = np.eye(proto.basis.dim)[:, list(proto.basis.comp_indices)]
     res = propagate_matrix(plan, cols, noise)
     assert np.max(np.abs(res.final_state - _dense_oracle(plan, cols, noise))) < 1e-9
+
+
+def _interpolation_case(name):
+    """(protocol, noise, index of its time-dependent target stage)."""
+    if name == "SWAP":
+        return make_protocol("SWAP", table_params("SWAP")), None, 0
+    p = table_params("C_SWAP_CCSdag")
+    if name == "MUX_SWAP_4T":
+        return make_protocol(name, p), None, 1
+    proto = make_protocol("C_SWAP_CCSdag", p)
+    spec = NoiseSpec(intensity=IntensitySpec({"omega1": 0.02, "omega2": 0.02}), n_shots=1, seed=5)
+    return proto, sample_realization(spec, proto.basis.n_atoms, proto.total_duration, shot_rng(5, 0)), 1
+
+
+def _step_exponentials(plan, noise, index):
+    """Per group with factors: (nodes per axis, direct and interpolated factor exponentials at every step).
+
+    The interpolated ones are None where the nodes are the steps.
+    """
+    stage = plan.stages[index]
+    n = _stage_steps(stage, plan.policy)
+    dt = stage.duration / n
+    evaluator = HamiltonianEvaluator(stage.spec, noise, sum(s.duration for s in plan.stages[:index]))
+    factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
+    axes, coords = _affine_axes(factors)
+    out = []
+    for group in stage.spec.block_groups():
+        if group.factor_index:
+            energies = [evaluator.diagonal[i] - evaluator.diagonal[i[:, :1]] for i in group.factor_index]
+            nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
+            direct = _factor_exponentials(group, energies, factors, dt)
+            interp = None if weights is None else [
+                _weighted(_tensor_weights(weights, 0, n), f) for f in _factor_exponentials(group, energies, nodes, dt)]
+            out.append((counts, direct, interp))
+    return out
+
+
+@pytest.mark.parametrize("name, n_axes, n_factors", [("SWAP", 1, 1), ("noisy C_SWAP_CCSdag", 2, 1),
+                                                     ("MUX_SWAP_4T", 1, 2)])
+def test_interpolated_step_exponentials_match_direct(name, n_axes, n_factors):
+    # one drive axis (the Gaussian), two (intensity tracks on omega1 and
+    # omega2), and blocks that are Kronecker products of two 8-state factors
+    proto, noise, index = _interpolation_case(name)
+    groups = _step_exponentials(proto.plan, noise, index)
+    assert groups
+    for counts, direct, interp in groups:
+        assert len(counts) == n_axes and len(direct) == n_factors
+        assert math.prod(counts) < 100  # against 3200 steps
+        for a, b in zip(direct, interp):
+            assert np.max(np.abs(a - b)) < 1e-11
+
+
+@pytest.mark.parametrize("name", ["SWAP", "noisy C_SWAP_CCSdag", "MUX_SWAP_4T"])
+def test_interpolated_gate_matches_per_step_path(name, monkeypatch):
+    proto, noise, _ = _interpolation_case(name)
+    u = run_gate(proto, noise).u_gate
+    monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: math.inf)  # the nodes become the steps
+    assert np.max(np.abs(run_gate(proto, noise).u_gate - u)) < 1e-9
+
+
+def test_three_independent_drives_take_the_steps_as_nodes():
+    # three Gaussians on different windows span three axes; their tensor
+    # grid would outnumber the steps, so every step is exponentiated
+    basis = build_basis([LevelScheme(("0", "1", "r", "s"), (False, False, True, True), (0.0, 0.0, 0.01, 0.01))])
+    drives = (DriveTerm(0, "0", "1", gaussian_pulse(TWO_PI * 300.0, 0.0, 1.0), family="a"),
+              DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 250.0, 0.1, 0.8), family="b"),
+              DriveTerm(0, "r", "s", gaussian_pulse(TWO_PI * 200.0, 0.3, 0.7), family="c"))
+    spec = HamiltonianSpec(basis, drives, frame_detunings=((0, "1", TWO_PI * 40.0),))
+    plan = StagePlan((Stage(1.0, spec),), StepPolicy(gaussian_resolution=20))
+    ((counts, _, interp),) = _step_exponentials(plan, None, 0)
+    assert len(counts) == 3 and interp is None
+    assert math.prod(counts) >= _stage_steps(plan.stages[0], plan.policy)
+    cols = np.eye(basis.dim)
+    assert np.max(np.abs(propagate_matrix(plan, cols).final_state - _dense_oracle(plan, cols))) < 1e-9
+
+
+def test_axis_nodes_grow_with_tau_and_give_way_to_the_steps():
+    counts = [_axis_nodes(tau) for tau in (1e-6, 0.01, 0.3, 3.0, 10.0)]
+    assert counts == sorted(counts) and counts[0] >= 1 and counts[-1] <= 64
+    assert _axis_nodes(1e3) == math.inf
+
+
+def test_interpolation_check_raises_with_too_few_nodes(monkeypatch):
+    proto = make_protocol("SWAP", table_params("SWAP"))
+    monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: 3)
+    with pytest.raises(PropagationError, match="interpolated"):
+        run_gate(proto)
 
 
 def test_invalid_inputs():

@@ -51,6 +51,13 @@ class TestScan:
                               "omega2", (row.value,), metric="rotation_fidelity")
             assert scan(spec_r)[0].metric >= row.metric - 1e-9
 
+    def test_integer_parameter_scan(self):
+        # n_controls is scanned as an integer; a non-integral value is that point's error
+        base = replace(table_params("C_SWAP_CCSdag"), n_controls=2)
+        rows = scan(ScanSpec("Ck_SWAP", base, "n_controls", (1.0, 2.0, 1.5), "fidelity"))
+        assert all(math.isfinite(r.metric) and r.error == "" for r in rows[:2])
+        assert math.isnan(rows[2].metric) and "n_controls" in rows[2].error
+
     def test_validation(self, base_params):
         with pytest.raises(ValueError):
             ScanSpec("SWAP", base_params, "omega2", ())
