@@ -1,8 +1,11 @@
 """Batch front-end: config ingestion, scenario execution, CSV emission.
 
 Configs are INI files with unit-suffixed keys (omega2_mhz, vct_ghz, temp_uk,
-...); unknown keys are rejected.  Ordinary-frequency values are multiplied
-by 2*pi on ingestion.  Every output directory receives a machine-readable
+...).  One table, _SCHEMA, says for every key the field it fills, how its
+value is read and which subcommands read it; every other key, every key the
+running subcommand does not read, and every value that cannot be read or
+that the library rejects is a ConfigError (exit 2).  Ordinary-frequency
+values are multiplied by 2*pi on ingestion.  Every output directory receives a machine-readable
 summary.json with the resolved parameter set echoed for provenance, plus
 CSV blocks laid out like the published result tables (amplitude moduli,
 phases in units of pi, per-input loss).
@@ -15,7 +18,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from .dynamics import propagate
 from .gates import (
     GateParams,
     VARIANTS,
+    calibrate_duration,
     make_protocol,
     run_gate,
     two_target_plan,
@@ -48,46 +52,90 @@ class ConfigError(ValueError):
     pass
 
 
-# Section -> key -> (target field, scale applied on ingestion).
-_GATE_KEYS = {
-    "variant": ("variant", None),
-    "model": ("model", None),
-    "omega1_max_mhz": ("omega1_max", TWO_PI),
-    "omega2_mhz": ("omega2", TWO_PI),
-    "delta_mhz": ("delta", TWO_PI),
-    "t_us": ("duration", 1.0),
-    "vtt_mhz": ("v_tt", TWO_PI),
-    "vct_ghz": ("v_ct", TWO_PI * 1000.0),
-    "vct_radus": ("v_ct", 1.0),
-    "vcc_radus": ("v_cc", 1.0),
-    "omega_c_mhz": ("omega_c", TWO_PI),
-    "sigma_ratio": ("sigma_ratio", 1.0),
-    "lifetime_us": ("lifetime", 1.0),
-    "n_controls": ("n_controls", 1.0),
-}
+def _number(scale: float = 1.0, per: float = 1.0):
+    """Reader of a finite number, times scale over per."""
+    def read(raw: str) -> float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("not a finite number")
+        return value * scale / per
+    return read
 
-# [noise] key -> (spec part, field, reader).  Only the keys a config gives
-# reach the specs, so the library's defaults hold for the rest.
-_NOISE_KEYS = {
-    "temp_uk": ("doppler", "temperature_K", lambda sec, key: sec.getfloat(key) / 1e6),
-    "mass_kg": ("doppler", "mass_kg", lambda sec, key: sec.getfloat(key)),
-    "lambda1_nm": ("doppler", "lambda1_m", lambda sec, key: sec.getfloat(key) / 1e9),
-    "lambda2_nm": ("doppler", "lambda2_m", lambda sec, key: sec.getfloat(key) / 1e9),
-    "counter_propagating": ("doppler", "counter_propagating", lambda sec, key: sec.getboolean(key)),
-    "di_i_omega1": ("widths", "omega1", lambda sec, key: sec.getfloat(key)),
-    "di_i_omega2": ("widths", "omega2", lambda sec, key: sec.getfloat(key)),
-    "update_interval_us": ("intensity", "update_interval", lambda sec, key: sec.getfloat(key)),
-    "n_shots": ("noise", "n_shots", lambda sec, key: sec.getint(key)),
-}
 
-_SCAN_KEYS = {"parameter": None, "values_mhz": None, "values": None, "metric": None}
-_SCENARIO_KEYS = {"kind": None, "seed": None}
+def _numbers(scale: float = 1.0):
+    """Reader of a whitespace-separated list of numbers, each times scale."""
+    one = _number(scale)
+    return lambda raw: tuple(one(v) for v in raw.split())
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        value = float(raw)
+        if not value.is_integer():
+            raise ValueError("not an integer") from None
+        return int(value)
+
+
+def _lifetime(raw: str) -> float | None:
+    """Lifetime in us; none, inf or off switch decay off."""
+    return None if raw.lower() in ("none", "inf", "off") else _number()(raw)
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("not a boolean (yes/no, true/false, on/off, 1/0)") from None
+
+
+_GATE = ("gate", "calibrate", "scan", "noise", "trajectory")  # the subcommands that read [gate]
+
+# section.key -> (field it fills, reader, subcommands that read it).  Keys
+# that fill one field are aliases, and the later one wins.  A [noise] field
+# is prefixed by the spec part it fills.  Any other key is rejected, and so
+# is a key the running subcommand does not read.
+_SCHEMA = {
+    "scenario.kind": ("kind", str, _GATE),
+    "scenario.seed": ("seed", _integer, ("noise",)),
+    "gate.variant": ("variant", str, _GATE),
+    "gate.model": ("model", str, _GATE),
+    "gate.omega1_max_mhz": ("omega1_max", _number(TWO_PI), _GATE),
+    "gate.omega2_mhz": ("omega2", _number(TWO_PI), _GATE),
+    "gate.delta_mhz": ("delta", _number(TWO_PI), _GATE),
+    "gate.t_us": ("duration", _number(), _GATE),
+    "gate.vtt_mhz": ("v_tt", _number(TWO_PI), _GATE),
+    "gate.vct_ghz": ("v_ct", _number(TWO_PI * 1000.0), _GATE),
+    "gate.vct_radus": ("v_ct", _number(), _GATE),
+    "gate.vcc_radus": ("v_cc", _number(), _GATE),
+    "gate.omega_c_mhz": ("omega_c", _number(TWO_PI), _GATE),
+    "gate.sigma_ratio": ("sigma_ratio", _number(), _GATE),
+    "gate.lifetime_us": ("lifetime", _lifetime, _GATE),
+    "gate.n_controls": ("n_controls", _integer, _GATE),
+    "noise.temp_uk": ("doppler.temperature_K", _number(per=1e6), ("noise",)),
+    "noise.mass_kg": ("doppler.mass_kg", _number(), ("noise",)),
+    "noise.lambda1_nm": ("doppler.lambda1_m", _number(per=1e9), ("noise",)),
+    "noise.lambda2_nm": ("doppler.lambda2_m", _number(per=1e9), ("noise",)),
+    "noise.counter_propagating": ("doppler.counter_propagating", _boolean, ("noise",)),
+    "noise.di_i_omega1": ("widths.omega1", _number(), ("noise",)),
+    "noise.di_i_omega2": ("widths.omega2", _number(), ("noise",)),
+    "noise.update_interval_us": ("intensity.update_interval", _number(), ("noise",)),
+    "noise.n_shots": ("noise.n_shots", _integer, ("noise",)),
+    "scan.parameter": ("parameter", str, ("scan",)),
+    "scan.values_mhz": ("values", _numbers(TWO_PI), ("scan",)),
+    "scan.values": ("values", _numbers(), ("scan",)),
+    "scan.metric": ("metric", str, ("scan",)),
+}
 
 
 def _parse_config(path: Path | None, overrides: list[str]) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if path is not None:
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(str(exc)) from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
     for item in overrides:
@@ -97,95 +145,78 @@ def _parse_config(path: Path | None, overrides: list[str]) -> configparser.Confi
         section, k = key.split(".", 1)
         if not cp.has_section(section):
             cp.add_section(section)
+        cp.remove_option(section, k)  # re-set last, so it is the later of any aliases
         cp.set(section, k, value)
-    _validate_keys(cp)
+    for section in cp.sections():
+        for key in cp[section]:
+            if f"{section}.{key}" not in _SCHEMA:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
     return cp
 
 
-def _validate_keys(cp: configparser.ConfigParser) -> None:
-    known = {
-        "scenario": _SCENARIO_KEYS,
-        "gate": _GATE_KEYS,
-        "noise": _NOISE_KEYS,
-        "scan": _SCAN_KEYS,
-    }
-    for section in cp.sections():
-        if section not in known:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in known[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+def _read(cp: configparser.ConfigParser, section: str) -> dict:
+    """The section's values by the field each key fills."""
+    values = {}
+    for key, raw in (cp[section].items() if cp.has_section(section) else ()):
+        field, reader, _ = _SCHEMA[f"{section}.{key}"]
+        try:
+            values[field] = reader(raw)
+        except ValueError as exc:
+            raise ConfigError(f"cannot read {section}.{key} = {raw!r}: {exc}") from None
+    return values
+
+
+def _build(cls, section: str, given: dict, **fixed):
+    """cls(**given, **fixed); a required field no key filled, or a value cls rejects, is a ConfigError."""
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+               and f.name not in given and f.name not in fixed]
+    if missing:
+        keys = [" or ".join(k.split(".")[1] for k, (field, _, _) in _SCHEMA.items()
+                            if k.startswith(f"{section}.") and field.split(".")[-1] == name) for name in missing]
+        raise ConfigError(f"[{section}] needs {', '.join(keys)}")
+    try:
+        return cls(**given, **fixed)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
-    if not cp.has_section("gate"):
-        raise ConfigError("config needs a [gate] section")
-    sec = cp["gate"]
-    variant = sec.get("variant", "SWAP")
+    given = _read(cp, "gate")
+    variant = given.pop("variant", "SWAP")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown gate variant {variant!r}")
-    kwargs = {}
-    for key, raw in sec.items():
-        field, scale = _GATE_KEYS[key]
-        if key in ("variant",):
-            continue
-        if key == "model":
-            kwargs["model"] = raw
-            continue
-        if key == "lifetime_us" and raw.lower() in ("none", "inf", "off"):
-            kwargs["lifetime"] = None
-            continue
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"gate.{key} must be numeric, got {raw!r}") from None
-        if key == "n_controls":
-            if not value.is_integer():
-                raise ConfigError(f"gate.n_controls must be an integer, got {raw!r}")
-            kwargs["n_controls"] = int(value)
-        else:
-            kwargs[field] = value * scale
-    required = ("omega1_max", "omega2", "delta", "duration")
-    missing = [f for f in required if f not in kwargs]
-    if missing:
-        raise ConfigError(f"[gate] is missing required values for {missing}")
-    return variant, GateParams(**kwargs)
-
-
-def _seed(args, cp: configparser.ConfigParser) -> int:
-    """--seed if given, else [scenario] seed, else 0."""
-    if args.seed is not None:
-        return args.seed
-    raw = cp.get("scenario", "seed", fallback="0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"scenario.seed must be an integer, got {raw!r}") from None
+    return variant, _build(GateParams, "gate", given)
 
 
 def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
     if not cp.has_section("noise"):
         raise ConfigError("noise scenario needs a [noise] section")
-    sec = cp["noise"]
-    given = {"doppler": {}, "widths": {}, "intensity": {}, "noise": {}}
-    for key in sec:
-        part, field, read = _NOISE_KEYS[key]
-        given[part][field] = read(sec, key)
-    doppler = DopplerSpec(**given["doppler"]) if "temperature_K" in given["doppler"] else None
-    intensity = IntensitySpec(given["widths"], **given["intensity"]) if given["widths"] else None
-    return NoiseSpec(doppler=doppler, intensity=intensity, seed=seed, **given["noise"])
+    parts = {"doppler": {}, "widths": {}, "intensity": {}, "noise": {}}
+    for field, value in _read(cp, "noise").items():
+        part, name = field.split(".")
+        parts[part][name] = value
+    if parts["intensity"] and not parts["widths"]:
+        raise ConfigError("[noise] update_interval_us needs a di_i_* width")
+    doppler = _build(DopplerSpec, "noise", parts["doppler"]) if parts["doppler"] else None
+    intensity = (_build(IntensitySpec, "noise", parts["intensity"], relative_widths=parts["widths"])
+                 if parts["widths"] else None)
+    return _build(NoiseSpec, "noise", parts["noise"], doppler=doppler, intensity=intensity, seed=seed)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], preamble: list[str] = ()) -> None:
+def _csv(header: list[str], rows: list[list], preamble: list[str] = ()) -> str:
     lines = [f"# {p}" for p in preamble]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _json(d: dict) -> str:
+    return json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
 def _params_echo(variant: str, params: GateParams) -> dict:
@@ -195,48 +226,8 @@ def _params_echo(variant: str, params: GateParams) -> dict:
     return {k: (v if not isinstance(v, float) else float(f"{v:.12g}")) for k, v in d.items()}
 
 
-def _emit_gate_outputs(out: Path, variant: str, params: GateParams, report, echo_extra=None) -> dict:
-    n = report.u_gate.shape[0]
-    labels = [format(i, f"0{int(math.log2(n))}b") for i in range(n)]
-    preamble = [f"params: {json.dumps(_params_echo(variant, params), sort_keys=True)}"]
-    _write_csv(
-        out / "amplitudes.csv",
-        ["in"] + labels,
-        [[labels[j]] + [float(abs(report.rotation_matrix[i, j])) for i in range(n)] for j in range(n)],
-        preamble,
-    )
-    _write_csv(
-        out / "phases.csv",
-        ["in"] + labels,
-        [
-            [labels[j]]
-            + [
-                float(np.angle(report.u_gate[i, j]) / math.pi) if abs(report.u_gate[i, j]) > 1e-6 else 0.0
-                for i in range(n)
-            ]
-            for j in range(n)
-        ],
-        preamble + ["phases in units of pi"],
-    )
-    _write_csv(
-        out / "loss.csv",
-        ["in", "loss"],
-        [[labels[j], float(report.per_input_loss[j])] for j in range(n)],
-        preamble,
-    )
-    summary = {
-        "variant": variant,
-        "fidelity": report.fidelity,
-        "fidelity_with_loss": report.fidelity_with_loss,
-        "mean_loss": report.mean_loss,
-        "t_bar_r_us": report.t_bar_r,
-        "total_duration_us": report.total_duration,
-        "params": _params_echo(variant, params),
-    }
-    if echo_extra:
-        summary.update(echo_extra)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
+def _params_line(variant: str, params: GateParams) -> str:
+    return f"params: {json.dumps(_params_echo(variant, params), sort_keys=True)}"
 
 
 def preset_path(name: str):
@@ -247,35 +238,42 @@ def preset_path(name: str):
     return ref
 
 
-def cmd_gate(args) -> int:
-    cp = _load(args)
-    variant, params = _gate_params(cp)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    protocol = make_protocol(variant, params)
-    report = run_gate(protocol)
-    summary = _emit_gate_outputs(out, variant, params, report)
-    print(f"{variant}: fidelity {summary['fidelity']:.6f} (with loss {summary['fidelity_with_loss']:.6f}), "
-          f"mean loss {summary['mean_loss']:.3e}, T_bar_r {summary['t_bar_r_us']:.4f} us")
-    return 0
+# Each cmd_* but cmd_tables takes (args, cp, variant, params) and returns the
+# files to write into --out, by name, and the line to print.
+
+def cmd_gate(args, cp, variant, params):
+    report = run_gate(make_protocol(variant, params))
+    n = report.u_gate.shape[0]
+    labels = [format(i, f"0{int(math.log2(n))}b") for i in range(n)]
+    preamble = [_params_line(variant, params)]
+    amplitudes = [[labels[j]] + [float(abs(report.rotation_matrix[i, j])) for i in range(n)] for j in range(n)]
+    phases = [
+        [labels[j]]
+        + [
+            float(np.angle(report.u_gate[i, j]) / math.pi) if abs(report.u_gate[i, j]) > 1e-6 else 0.0
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+    files = {
+        "amplitudes.csv": _csv(["in"] + labels, amplitudes, preamble),
+        "phases.csv": _csv(["in"] + labels, phases, preamble + ["phases in units of pi"]),
+        "loss.csv": _csv(["in", "loss"], [[labels[j], float(report.per_input_loss[j])] for j in range(n)], preamble),
+        "summary.json": _json({
+            "variant": variant,
+            "fidelity": report.fidelity,
+            "fidelity_with_loss": report.fidelity_with_loss,
+            "mean_loss": report.mean_loss,
+            "t_bar_r_us": report.t_bar_r,
+            "total_duration_us": report.total_duration,
+            "params": _params_echo(variant, params),
+        }),
+    }
+    return files, (f"{variant}: fidelity {report.fidelity:.6f} (with loss {report.fidelity_with_loss:.6f}), "
+                   f"mean loss {report.mean_loss:.3e}, T_bar_r {report.t_bar_r:.4f} us")
 
 
-def _dump_trajectory(path: Path, protocol) -> None:
-    basis = protocol.basis
-    psi0 = np.zeros(basis.dim, dtype=complex)
-    psi0[basis.comp_indices[1 if basis.n_atoms > 1 else 0]] = 1.0
-    res = propagate(protocol.plan, psi0, record_populations=True)
-    header = ["t_us"] + ["".join(basis.labels_of(i)) for i in range(basis.dim)] + ["p_rydberg", "norm"]
-    rows = []
-    for k, t in enumerate(res.rydberg_times):
-        pops = res.population_traj[k]
-        rows.append([float(t)] + [float(x) for x in pops] + [float(res.rydberg_populations[k]), float(pops.sum())])
-    _write_csv(path, header, rows)
-
-
-def cmd_calibrate(args) -> int:
-    cp = _load(args)
-    variant, params = _gate_params(cp)
+def cmd_calibrate(args, cp, variant, params):
     t_est, t_half = swap_time_estimate(params.omega1_max, params.delta, params.sigma_ratio)
     plan_factory = lambda t: two_target_plan(params, t)
     basis = plan_factory(1.0).stages[0].spec.basis
@@ -291,52 +289,27 @@ def cmd_calibrate(args) -> int:
         "params": _params_echo(variant, params),
     }
     if args.fidelity_objective:
-        from .gates import calibrate_duration
-
         result["t_fidelity_calibrated_us"] = calibrate_duration(variant, params, t_transfer)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "calibration.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    text = _json(result)
+    return {"calibration.json": text}, text.rstrip("\n")
 
 
-def cmd_scan(args) -> int:
-    cp = _load(args)
-    variant, params = _gate_params(cp)
-    if not cp.has_section("scan"):
-        raise ConfigError("scan scenario needs a [scan] section")
-    sec = cp["scan"]
-    parameter = sec.get("parameter")
-    metric = sec.get("metric", "rotation_fidelity")
-    if "values_mhz" in sec:
-        values = tuple(TWO_PI * float(v) for v in sec.get("values_mhz").split())
-    elif "values" in sec:
-        values = tuple(float(v) for v in sec.get("values").split())
-    else:
-        raise ConfigError("[scan] needs values or values_mhz")
-    rows = scan(ScanSpec(variant=variant, base=params, parameter=parameter, values=values, metric=metric))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "scan.csv",
+def cmd_scan(args, cp, variant, params):
+    spec = _build(ScanSpec, "scan", _read(cp, "scan"), variant=variant, base=params)
+    rows = scan(spec)
+    text = _csv(
         ["value", "metric", "fidelity", "mean_loss", "t_bar_r_us", "error"],
         [[r.value, r.metric, r.fidelity, r.mean_loss, r.t_bar_r, r.error] for r in rows],
-        [f"params: {json.dumps(_params_echo(variant, params), sort_keys=True)}",
-         f"parameter: {parameter}  metric: {metric}"],
+        [_params_line(variant, params), f"parameter: {spec.parameter}  metric: {spec.metric}"],
     )
-    print(f"scan of {parameter}: {len(rows)} points -> {out / 'scan.csv'}")
-    return 0
+    return {"scan.csv": text}, f"scan of {spec.parameter}: {len(rows)} points -> {Path(args.out) / 'scan.csv'}"
 
 
-def cmd_noise(args) -> int:
-    cp = _load(args)
-    variant, params = _gate_params(cp)
-    spec = _noise_spec(cp, _seed(args, cp))
+def cmd_noise(args, cp, variant, params):
+    seed = args.seed if args.seed is not None else _read(cp, "scenario").get("seed", 0)
+    spec = _noise_spec(cp, seed)
     protocol = make_protocol(variant, params)
     result = monte_carlo_fidelity(protocol, spec, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, f in enumerate(result.fidelities):
         # realizations are replayable from the counter-based streams
@@ -347,60 +320,82 @@ def cmd_noise(args) -> int:
         rows.append([i, dop, imean, float(f)])
     rows.append(["mean", 0.0, 1.0, result.mean_fidelity])
     rows.append(["std", 0.0, 0.0, result.std_fidelity])
-    _write_csv(out / "noise.csv", ["shot", "doppler_rms_radus", "intensity_mean", "fidelity"], rows,
-               [f"params: {json.dumps(_params_echo(variant, params), sort_keys=True)}",
-                f"seed: {spec.seed}  n_shots: {spec.n_shots}"])
-    summary = {
-        "mean_fidelity": result.mean_fidelity,
-        "std_fidelity": result.std_fidelity,
-        "mean_infidelity": result.mean_infidelity,
-        "n_shots": spec.n_shots,
-        "seed": spec.seed,
-        "params": _params_echo(variant, params),
+    files = {
+        "noise.csv": _csv(["shot", "doppler_rms_radus", "intensity_mean", "fidelity"], rows,
+                          [_params_line(variant, params), f"seed: {spec.seed}  n_shots: {spec.n_shots}"]),
+        "summary.json": _json({
+            "mean_fidelity": result.mean_fidelity,
+            "std_fidelity": result.std_fidelity,
+            "mean_infidelity": result.mean_infidelity,
+            "n_shots": spec.n_shots,
+            "seed": spec.seed,
+            "params": _params_echo(variant, params),
+        }),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"noise MC: mean fidelity {result.mean_fidelity:.6f} +- {result.std_fidelity:.6f} ({spec.n_shots} shots)")
-    return 0
+    return files, (f"noise MC: mean fidelity {result.mean_fidelity:.6f} +- {result.std_fidelity:.6f} "
+                   f"({spec.n_shots} shots)")
 
 
-def cmd_trajectory(args) -> int:
-    cp = _load(args)
-    variant, params = _gate_params(cp)
+def cmd_trajectory(args, cp, variant, params):
     protocol = make_protocol(variant, params)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_trajectory(out / "trajectory.csv", protocol)
-    print(f"trajectory written to {out / 'trajectory.csv'}")
-    return 0
+    basis = protocol.basis
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[basis.comp_indices[1 if basis.n_atoms > 1 else 0]] = 1.0
+    res = propagate(protocol.plan, psi0, record_populations=True)
+    header = ["t_us"] + ["".join(basis.labels_of(i)) for i in range(basis.dim)] + ["p_rydberg", "norm"]
+    rows = []
+    for k, t in enumerate(res.rydberg_times):
+        pops = res.population_traj[k]
+        rows.append([float(t)] + [float(x) for x in pops] + [float(res.rydberg_populations[k]), float(pops.sum())])
+    return {"trajectory.csv": _csv(header, rows)}, f"trajectory written to {Path(args.out) / 'trajectory.csv'}"
 
 
 def cmd_tables(args) -> int:
     from .tables import reproduce_tables
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report = reproduce_tables(out)
+    report = reproduce_tables(Path(args.out))
     print(report.text)
     return 0 if report.passed else 1
 
 
 def _load(args) -> configparser.ConfigParser:
-    if getattr(args, "preset", None):
+    if args.preset:
         with resources.as_file(preset_path(args.preset)) as p:
             cp = _parse_config(p, args.set or [])
-    elif getattr(args, "config", None) or args.set:
+    elif args.config or args.set:
         cp = _parse_config(Path(args.config) if args.config else None, args.set or [])
     else:
         raise ConfigError("provide --config, --preset or --set overrides")
-    kind = cp.get("scenario", "kind", fallback=args.command)
+    kind = _read(cp, "scenario").get("kind", args.command)
     if kind != args.command:
         raise ConfigError(f"config is a {kind!r} scenario, not {args.command!r}")
-    if args.command != "noise" and cp.has_option("scenario", "seed"):
-        raise ConfigError("scenario.seed is read only by the noise subcommand")
-    for section in ("noise", "scan"):
-        if args.command != section and cp.has_section(section):
-            raise ConfigError(f"[{section}] is read only by the {section} subcommand")
+    for section in cp.sections():
+        for key in cp[section]:
+            if args.command not in _SCHEMA[f"{section}.{key}"][2]:
+                raise ConfigError(f"[{section}] {key} is not read by the {args.command} subcommand")
     return cp
+
+
+def _gate_command(cmd):
+    """Run cmd on the loaded config and its gate, then write the files it returns into --out."""
+    def run(args) -> int:
+        cp = _load(args)
+        variant, params = _gate_params(cp)
+        files, line = cmd(args, cp, variant, params)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        print(line)
+        return 0
+    return run
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,37 +405,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def gate_command(name, cmd, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help="bundled preset name (e.g. table1_swap)")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         p.add_argument("--out", default="out", help="output directory")
+        p.set_defaults(func=_gate_command(cmd))
+        return p
 
-    p = sub.add_parser("gate", help="run one gate and emit result tables")
-    common(p)
-    p.set_defaults(func=cmd_gate)
-
-    p = sub.add_parser("calibrate", help="calibrate the exchange duration")
-    common(p)
+    gate_command("gate", cmd_gate, "run one gate and emit result tables")
+    p = gate_command("calibrate", cmd_calibrate, "calibrate the exchange duration")
     p.add_argument("--fidelity-objective", action="store_true",
                    help="also calibrate by full-gate fidelity")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("scan", help="one-parameter scan")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("noise", help="Monte Carlo noise run")
-    common(p)
+    gate_command("scan", cmd_scan, "one-parameter scan")
+    p = gate_command("noise", cmd_noise, "Monte Carlo noise run")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: [scenario] seed, else 0)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for shots")
-    p.set_defaults(func=cmd_noise)
-
-    p = sub.add_parser("trajectory", help="dump a population trajectory")
-    common(p)
-    p.set_defaults(func=cmd_trajectory)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for shots (at least 1)")
+    gate_command("trajectory", cmd_trajectory, "dump a population trajectory")
 
     p = sub.add_parser("tables", help="reproduce the published result tables against fixtures")
     p.add_argument("--out", default="out", help="output directory")

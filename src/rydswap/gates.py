@@ -538,9 +538,7 @@ def conditional_rotation_fidelity(
     return rotation_fidelity(sub, ideal_sub)
 
 
-def acquired_phase(
-    protocol: GateProtocol, input_bits: tuple[int, ...], lifetime_override: bool = False
-) -> float:
+def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float:
     """Acquired AC-Stark phase of one computational input, radians in (-pi, pi].
 
     Convention: the input is propagated through the bare protocol (no

@@ -100,22 +100,17 @@ def sample_realization(
         sigma = doppler_sigma(spec.doppler)
         shifts = tuple(float(x) for x in rng.normal(0.0, sigma, size=n_atoms))
 
+    if spec.intensity is None:
+        return NoiseRealization(doppler_shifts=shifts)
+    interval = spec.intensity.update_interval
+    n_intervals = max(1, math.ceil(duration / interval))
     factors = {}
-    interval = 0.01
-    if spec.intensity is not None:
-        interval = spec.intensity.update_interval
-        n_intervals = max(1, math.ceil(duration / interval))
-        for family, width in sorted(spec.intensity.relative_widths.items()):
-            if width == 0.0:
-                continue
-            xi = rng.normal(0.0, width, size=n_intervals)
-            factors[family] = np.clip(1.0 + xi, 0.0, 1.0 + 5.0 * width)
-
-    return NoiseRealization(
-        doppler_shifts=shifts,
-        intensity_factors=factors,
-        update_interval=interval,
-    )
+    for family, width in sorted(spec.intensity.relative_widths.items()):
+        if width == 0.0:
+            continue
+        xi = rng.normal(0.0, width, size=n_intervals)
+        factors[family] = np.clip(1.0 + xi, 0.0, 1.0 + 5.0 * width)
+    return NoiseRealization(doppler_shifts=shifts, intensity_factors=factors, update_interval=interval)
 
 
 @dataclass

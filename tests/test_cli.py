@@ -201,3 +201,79 @@ def test_tables_harness_detects_perturbation():
         printed=-0.99, measured=0.995, tol=0.02, expected_red=False, note="",
     )
     assert ok_cell.ok  # phase comparison wraps modulo 2
+
+
+# overrides that keep a run of each subcommand small
+_SMALL = {"noise": ["--set", "noise.n_shots=1"], "scan": ["--set", "scan.values_mhz=1001.2"], "gate": []}
+
+
+def test_set_values_overrides_preset_values_mhz(tmp_path):
+    # values and values_mhz fill one field: the --set one is the later and wins
+    out = tmp_path / "scan"
+    rc = run_cli(["scan", "--preset", "fig4c_vscan", "--set", "scan.values=6000 7000", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "scan.csv").read_text().splitlines()
+    assert [float(l.split(",")[0]) for l in lines if not l.startswith(("#", "value"))] == [6000.0, 7000.0]
+
+
+def test_set_overrides_a_later_alias_in_the_file(tmp_path):
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text("[gate]\nomega1_max_mhz = 33.5\nomega2_mhz = 190.8\ndelta_mhz = 999.73\nt_us = 4.7259\n"
+                   "vct_ghz = 1.0\nvct_radus = 22140.0\n")
+    assert _gate_params(_parse_config(cfg, []))[1].v_ct == 22140.0
+    _, params = _gate_params(_parse_config(cfg, ["gate.vct_ghz=0.5"]))
+    assert params.v_ct == pytest.approx(2 * math.pi * 500.0)
+
+
+@pytest.mark.parametrize("override", ["noise.mass_kg=2.2e-25", "noise.lambda1_nm=459.6",
+                                      "noise.counter_propagating=no"])
+def test_doppler_key_without_temperature_rejected(tmp_path, capsys, override):
+    rc = run_cli(["noise", "--preset", "fig3bc_intensity", "--set", "noise.n_shots=1", "--set", override,
+                  "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "temp_uk" in capsys.readouterr().err
+
+
+def test_update_interval_without_width_rejected(tmp_path, capsys):
+    rc = run_cli(["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1",
+                  "--set", "noise.update_interval_us=0.02", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "update_interval_us" in capsys.readouterr().err
+
+
+def test_scan_without_parameter_rejected(tmp_path, capsys):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("[gate]\nvariant = SWAP\nomega1_max_mhz = 33.5\nomega2_mhz = 190.8\ndelta_mhz = 999.73\n"
+                   "t_us = 4.7259\n\n[scan]\nvalues_mhz = 1001.2\n")
+    rc = run_cli(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, preset, override, key", [
+    ("noise", "fig3a_doppler", "noise.n_shots=1.5", "n_shots"),
+    ("gate", "table1_swap", "gate.model=bogus", "model"),
+    ("noise", "fig3a_doppler", "noise.counter_propagating=maybe", "counter_propagating"),
+    ("scan", "fig4c_vscan", "scan.metric=bogus", "metric"),
+    ("scan", "fig4c_vscan", "scan.parameter=bogus", "parameter"),
+])
+def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, command, preset, override, key):
+    rc = run_cli([command, "--preset", preset] + _SMALL[command] + ["--set", override, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1", "--jobs", jobs,
+                 "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("preset", sorted(p.name[:-4] for p in resources.files("rydswap.presets").iterdir()
+                                          if p.name.endswith(".cfg")))
+def test_every_preset_runs_under_its_subcommand(tmp_path, preset):
+    with resources.as_file(preset_path(preset)) as path:
+        command = _parse_config(path, []).get("scenario", "kind", fallback="gate")
+    assert run_cli([command, "--preset", preset] + _SMALL[command] + ["--out", str(tmp_path / "o")]) == 0
