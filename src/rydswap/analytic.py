@@ -144,6 +144,36 @@ def swap_time_estimate(
     return t_est, 0.5 * t_est
 
 
+def crest(f: Callable[[float], float], grid, xtol: float) -> tuple[float, int]:
+    """Best grid point of f, refined by golden section between its neighbours.
+
+    Returns (x, k): k indexes the best grid point, x is the centre of the
+    final bracket, at most xtol wide.  A ripple shorter than the grid step
+    still ends on one local maximum.  An end point k has one neighbour and
+    is returned unrefined, for the caller to accept or reject.
+    """
+    vals = [f(x) for x in grid]
+    k = int(np.argmax(vals))
+    if k in (0, len(grid) - 1):
+        return float(grid[k]), k
+    lo, hi = grid[k - 1], grid[k + 1]
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xtol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+    return float(0.5 * (lo + hi)), k
+
+
 def calibrate_swap_time(
     plan_for_duration: Callable[[float], StagePlan],
     psi_in: np.ndarray,
@@ -157,11 +187,12 @@ def calibrate_swap_time(
 
     plan_for_duration builds the complete two-target stage plan for a trial
     duration.  Without a transfer_target the routine maximizes
-    |<out|U(T)|in>| on [bracket[0]*t_seed, bracket[1]*t_seed] by a coarse
-    grid (the amplitude carries dressing-phase ripples that defeat a bare
-    unimodal search) followed by golden-section refinement around the best
-    grid cell; with a target (e.g. 1/sqrt(2) for the half rotation) it
-    finds the first crossing on the rising branch.
+    |<out|U(T)|in>| on [bracket[0]*t_seed, bracket[1]*t_seed] by ``crest``
+    over a 41-point grid (the amplitude carries dressing-phase ripples that
+    defeat a bare unimodal search), and raises ValueError when the best grid
+    point is an end of the bracket; with a target (e.g. 1/sqrt(2) for the
+    half rotation) it finds the first crossing on the rising branch by
+    ``brentq``.
     """
     if t_seed <= 0:
         raise ValueError("seed must be positive")
@@ -185,26 +216,10 @@ def calibrate_swap_time(
         return float(brentq(lambda t: amplitude(t) - transfer_target, lo, hi, xtol=xtol))
 
     grid = np.linspace(lo, hi, 41)
-    vals = [amplitude(t) for t in grid]
-    k = int(np.argmax(vals))
+    t, k = crest(amplitude, grid, xtol)
     if k in (0, len(grid) - 1):
         raise ValueError("no interior maximum in the calibration bracket")
-    lo, hi = grid[k - 1], grid[k + 1]
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = amplitude(x1), amplitude(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = amplitude(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = amplitude(x1)
-    return float(0.5 * (lo + hi))
+    return t
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from .analytic import crest, wrap_phase
 from .basis import ProductBasis, build_basis, qubit_scheme
 from .dynamics import Stage, StagePlan, propagate, propagate_matrix
 from .model import (
@@ -177,13 +178,17 @@ class GateReport:
 # Ideal unitaries
 
 
+def _bit_table(n_qubits: int) -> np.ndarray:
+    """(2**n, n) bits of every computational state, qubit 0 most significant."""
+    return (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
+
+
 def _permutation_ideal(n_qubits: int, mapper) -> np.ndarray:
     """Ideal unitary from a bit-tuple mapper: bits -> (bits_out, amplitude)."""
     n = 2**n_qubits
     u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        bits = tuple((j >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits))
-        bits_out, amp = mapper(bits)
+    for j, bits in enumerate(_bit_table(n_qubits).tolist()):
+        bits_out, amp = mapper(tuple(bits))
         i = 0
         for b in bits_out:
             i = (i << 1) | b
@@ -358,19 +363,19 @@ def calibrate_duration(
     recur every light-shift cycle and are near-degenerate, so the published
     durations are fidelity optima rather than transfer optima; seed with the
     transfer-calibrated duration and keep the window inside one crest
-    spacing of it.  A two-stage grid (coarse, then fine around the best
-    crest) handles the rippled landscape that defeats unimodal searches.
+    spacing of it.  ``crest`` takes the best point of a grid spaced coarse
+    over the window and refines between its neighbours down to fine; a best
+    point on the grid's end raises ValueError.
     """
     def fid(t: float) -> float:
         return run_gate(make_protocol(variant, replace(params, duration=float(t)))).fidelity
 
     lo, hi = (1.0 - half_width) * t_seed, (1.0 + half_width) * t_seed
     grid = np.arange(lo, hi + coarse, coarse)
-    vals = [fid(t) for t in grid]
-    t_best = float(grid[int(np.argmax(vals))])
-    fine_grid = np.arange(t_best - coarse, t_best + coarse + fine, fine)
-    fine_vals = [fid(t) for t in fine_grid]
-    return float(fine_grid[int(np.argmax(fine_vals))])
+    t, k = crest(fid, grid, fine)
+    if k in (0, len(grid) - 1):
+        raise ValueError("no interior maximum in the calibration bracket")
+    return t
 
 
 def table_params(variant: str) -> GateParams:
@@ -405,32 +410,23 @@ def table_params(variant: str) -> GateParams:
 # Gate extraction and metrics
 
 
-def _comp_bits(n_qubits: int, index: int) -> tuple[int, ...]:
-    return tuple((index >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits))
-
-
 def _adjust_diagonal(protocol: GateProtocol) -> np.ndarray:
     """Per-computational-state phase factor of the virtual-Z adjustments."""
-    n = len(protocol.basis.comp_indices)
-    nq = protocol.n_qubits
-    diag = np.ones(n, dtype=complex)
+    bits = _bit_table(protocol.n_qubits)
+    diag = np.ones(len(bits), dtype=complex)
     for atom, level, phi in protocol.phase_adjust:
-        bit = 1 if level == "1" else 0
-        for i in range(n):
-            if _comp_bits(nq, i)[atom] == bit:
-                diag[i] *= np.exp(1j * phi)
+        diag[bits[:, atom] == int(level == "1")] *= np.exp(1j * phi)
     return diag
 
 
 def _frame_removal_diagonal(protocol: GateProtocol) -> np.ndarray:
     """exp(+i E_frame T_total) per computational state."""
-    spec = protocol.plan.stages[0].spec
-    t_total = protocol.total_duration
     basis = protocol.basis
-    energies = np.array(
-        [spec.frame_energy(basis.labels_of(idx)) for idx in basis.comp_indices]
-    )
-    return np.exp(1j * energies * t_total)
+    comp = list(basis.comp_indices)
+    energies = np.zeros(len(comp))
+    for atom, label, energy in protocol.plan.stages[0].spec.frame_detunings:
+        energies[basis.occupation_mask(atom, label)[comp]] += energy
+    return np.exp(1j * energies * protocol.total_duration)
 
 
 def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> GateReport:
@@ -506,8 +502,7 @@ def phase_optimized_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray, n_qubits: 
     Used where the tabulated phase convention is ambiguous (the half-angle
     exchange variant carries no printed adjustment).
     """
-    n = u_gate.shape[0]
-    bit_table = np.array([_comp_bits(n_qubits, i) for i in range(n)])
+    bit_table = _bit_table(n_qubits)
 
     def neg_fid(phis):
         diag = np.exp(1j * (bit_table @ phis))
@@ -530,9 +525,8 @@ def conditional_rotation_fidelity(
     Uses the decay-renormalized matrix: routing quality is scored separately
     from the Rydberg-loss budget.
     """
-    nq = protocol.n_qubits
-    k = len(control_bits)
-    sel = [i for i in range(2**nq) if _comp_bits(nq, i)[:k] == tuple(control_bits)]
+    bits = _bit_table(protocol.n_qubits)
+    sel = np.flatnonzero((bits[:, :len(control_bits)] == control_bits).all(axis=1))
     sub = report.rotation_matrix[np.ix_(sel, sel)]
     ideal_sub = protocol.ideal[np.ix_(sel, sel)]
     return rotation_fidelity(sub, ideal_sub)
@@ -548,7 +542,6 @@ def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float
     isolates the dynamical light-shift phase the effective model predicts.
     """
     basis = protocol.basis
-    nq = protocol.n_qubits
     j = 0
     for b in input_bits:
         j = (j << 1) | b
@@ -561,6 +554,4 @@ def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float
     a = amps[i]
     if i != j:
         a = -a
-    from .analytic import wrap_phase
-
     return wrap_phase(-float(np.angle(a)))

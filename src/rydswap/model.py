@@ -204,14 +204,6 @@ class HamiltonianSpec:
         diag += self.interactions.diagonal(self.basis)
         return diag
 
-    def frame_energy(self, labels) -> float:
-        """Static frame energy of one labelled product state (rad/us)."""
-        e = 0.0
-        for atom, label, energy in self.frame_detunings:
-            if labels[atom] == label:
-                e += energy
-        return e
-
     def drive_edges(self) -> np.ndarray:
         """The basis-state pairs the drives couple: rows drive, lower state, upper state.
 

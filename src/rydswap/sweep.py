@@ -8,10 +8,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from .analytic import crest
 from .gates import GateParams, make_protocol, rotation_fidelity, run_gate
 
 METRICS = ("fidelity", "rotation_fidelity", "infidelity_with_loss")
 _INT_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type == "int")
+_NUMERIC_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type.removesuffix(" | None") in ("float", "int"))
 
 
 def _with_values(base: GateParams, names, values) -> GateParams:
@@ -28,8 +30,8 @@ def _with_values(base: GateParams, names, values) -> GateParams:
 class ScanSpec:
     """One-parameter grid scan of a gate variant.
 
-    parameter is a GateParams field name; the metric is evaluated by a full
-    gate run per grid value.
+    parameter is a numeric GateParams field name; the metric is evaluated by
+    a full gate run per grid value.
     """
 
     variant: str
@@ -45,7 +47,7 @@ class ScanSpec:
             raise ValueError("scan grid contains non-finite values")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if not hasattr(self.base, self.parameter):
+        if self.parameter not in _NUMERIC_FIELDS:
             raise ValueError(f"unknown parameter {self.parameter!r}")
 
 
@@ -107,27 +109,26 @@ def optimize(
     variant: str,
     base: GateParams,
     free: tuple[str, ...],
-    bounds: dict[str, tuple[float, float]] | None = None,
     metric: str = "infidelity_with_loss",
     budget: int = 200,
-    warmup_span: float = 0.05,
 ) -> OptimizeResult:
     """Derivative-free descent on the metric over the named free parameters.
 
     The gate metric ripples on a sub-permille parameter scale (phase
     alignment of the accumulated light shifts), which strands a bare simplex
-    far from the optimum.  A cyclic per-parameter grid sweep (roughly half
-    the budget) first locates the phase-aligned valley, then a normalized
-    Nelder-Mead simplex polishes within it.  Never returns a point worse
-    than the base; an exhausted budget returns best-so-far with the flag
-    set.
+    far from the optimum.  Two passes of ``crest`` line searches, one per
+    free parameter over +-5% (then +-1.25%) of its value around the
+    incumbent and refined to 1e-5 of it (the duration ripple's period is
+    about 2e-4 of the duration), first locate the phase-aligned valley and
+    a crest in it (up to 70% of the budget), then a normalized Nelder-Mead
+    simplex polishes within it.  Never returns a point worse than the base; an
+    exhausted budget returns best-so-far with the flag set.
     """
     minimize_sign = 1.0 if metric == "infidelity_with_loss" else -1.0
     base_val, _ = evaluate_metric(variant, base, metric)
     if not free:
         return OptimizeResult(params=base, metric=base_val, n_evaluations=1, budget_exhausted=False)
 
-    bounds = bounds or {}
     x0 = np.array([getattr(base, f) for f in free], dtype=float)
     scale = np.where(np.abs(x0) > 0, np.abs(x0), 1.0)
     trace: list[float] = []
@@ -139,10 +140,6 @@ def optimize(
         if n_eval >= budget:
             return best["val"] + 1e6
         n_eval += 1
-        for f, v in zip(free, x):
-            lo, hi = bounds.get(f, (None, None))
-            if (lo is not None and v < lo) or (hi is not None and v > hi):
-                return best["val"] + 1e6
         try:
             val, _ = evaluate_metric(variant, _with_values(base, free, x), metric)
         except Exception:
@@ -153,24 +150,20 @@ def optimize(
         trace.append(best["val"] if minimize_sign > 0 else -best["val"])
         return signed
 
-    # cyclic grid sweeps: each pass line-searches every free parameter on a
-    # shrinking grid around the incumbent
+    def along(k: int, center: np.ndarray):
+        return lambda v: -objective(np.concatenate([center[:k], [v], center[k + 1:]]))
+
     n_grid = max(5, min(17, (budget // 2) // max(1, 2 * len(free))))
-    span = warmup_span
+    span = 0.05
     for _ in range(2):
         for k in range(len(free)):
             if n_eval + n_grid > budget * 0.7:
                 break
             center = best["x"].copy()
-            offsets = np.linspace(-span, span, n_grid)
-            for off in offsets:
-                x = center.copy()
-                x[k] = center[k] + off * scale[k]
-                objective(x)
+            crest(along(k, center), center[k] + np.linspace(-span, span, n_grid) * scale[k], 1e-5 * scale[k])
         span /= 4.0
 
-    polish = min(25, budget // 8) if "duration" in free else 0
-    remaining = budget - n_eval - polish
+    remaining = budget - n_eval
     if remaining > len(free) + 1:
         z0 = best["x"] / scale
         simplex = np.vstack([z0] + [z0 + np.eye(len(free))[k] * 2e-3 for k in range(len(free))])
@@ -185,16 +178,6 @@ def optimize(
                 "initial_simplex": simplex,
             },
         )
-
-    if polish:
-        # the metric ripples fastest along the duration (dressing-phase
-        # sampling); a dense local sweep picks the crest
-        k = free.index("duration")
-        center = best["x"].copy()
-        for off in np.linspace(-5e-4, 5e-4, polish):
-            x = center.copy()
-            x[k] = center[k] * (1.0 + off)
-            objective(x)
 
     best_val = minimize_sign * best["val"]
     best_params = _with_values(base, free, best["x"])

@@ -5,6 +5,7 @@ import pytest
 
 from rydswap.analytic import (
     calibrate_swap_time,
+    crest,
     dark_state,
     effective_params,
     predict_phases,
@@ -142,6 +143,46 @@ class TestCalibration:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             calibrate_swap_time(lambda t: None, np.zeros(2), 0, -1.0)
+
+    def test_amplitude_rising_to_the_bracket_end_is_rejected(self):
+        # well below the exchange time the transfer amplitude still rises,
+        # so the best grid point is the bracket's upper end
+        p = table_params("SWAP")
+        plan = lambda t: two_target_plan(p, t)
+        basis = plan(1.0).stages[0].spec.basis
+        seed = swap_time_estimate(p.omega1_max, p.delta)[1]
+        with pytest.raises(ValueError, match="no interior maximum"):
+            calibrate_swap_time(plan, basis.basis_state(("0", "1")), basis.index_of(("1", "0")), seed,
+                                bracket=(0.2, 0.5))
+
+
+class TestCrest:
+    # a slow envelope under a ripple of period 0.013, shorter than the grid
+    # step of 0.05
+    @staticmethod
+    def f(x):
+        return -((x - 0.37) ** 2) + 0.02 * np.cos(TWO_PI * x / 0.013)
+
+    @staticmethod
+    def df(x):
+        return -2.0 * (x - 0.37) - 0.02 * TWO_PI / 0.013 * np.sin(TWO_PI * x / 0.013)
+
+    def test_refines_to_a_local_maximum_inside_the_best_cell(self):
+        grid = np.linspace(0.0, 1.0, 21)
+        xtol = 1e-6
+        x, k = crest(self.f, grid, xtol)
+        assert k == int(np.argmax(self.f(grid)))
+        assert grid[k - 1] < x < grid[k + 1]
+        assert self.df(x - xtol) > 0.0 > self.df(x + xtol)
+        assert self.f(x) >= self.f(grid[k])
+
+    @pytest.mark.parametrize("sign, k_end", [(1.0, 10), (-1.0, 0)])
+    def test_reports_an_end_point_unrefined(self, sign, k_end):
+        grid = np.linspace(0.0, 1.0, 11)
+        calls = []
+        x, k = crest(lambda t: calls.append(t) or sign * t, grid, 1e-6)
+        assert (x, k) == (grid[k_end], k_end)
+        assert len(calls) == len(grid)
 
 
 class TestPredictPhases:

@@ -263,6 +263,15 @@ def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, comman
     assert key in capsys.readouterr().err
 
 
+def test_scan_of_a_non_numeric_parameter_rejected(tmp_path, capsys):
+    rc = run_cli(["scan", "--preset", "fig4c_vscan", "--set", "scan.parameter=decay_rate",
+                  "--set", "scan.values=1 2", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "parameter" in err and "decay_rate" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_rejected(tmp_path, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from rydswap.gates import (
     GateParams,
     VARIANTS,
     acquired_phase,
+    calibrate_duration,
     conditional_rotation_fidelity,
     ideal_unitary,
     make_protocol,
@@ -255,3 +256,11 @@ def test_conditional_rotation_fidelity_identity(cswap_report):
     f1 = conditional_rotation_fidelity(rep, proto, (1,))
     assert 0.99 < f0 <= 1.0
     assert 0.99 < f1 <= 1.0
+
+
+def test_calibrate_duration_rejects_a_maximum_on_the_window_edge():
+    # the fidelity still rises at the last coarse point of this narrow
+    # window; that point lies past the window, so refining around it would
+    # return a duration outside it
+    with pytest.raises(ValueError, match="no interior maximum"):
+        calibrate_duration("SWAP", table_params("SWAP"), 4.68, half_width=0.003)

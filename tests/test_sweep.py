@@ -66,6 +66,15 @@ class TestScan:
         with pytest.raises(ValueError):
             ScanSpec("SWAP", base_params, "omega2", (1.0,), metric="magic")
 
+    @pytest.mark.parametrize("parameter", ["decay_rate", "control_pi_time", "model", "interaction_overrides"])
+    def test_only_numeric_fields_scan(self, base_params, parameter):
+        with pytest.raises(ValueError, match=parameter):
+            ScanSpec("SWAP", base_params, parameter, (1.0, 2.0))
+
+    @pytest.mark.parametrize("parameter", ["v_cc", "lifetime", "n_controls"])
+    def test_optional_and_integer_fields_scan(self, base_params, parameter):
+        assert ScanSpec("SWAP", base_params, parameter, (1.0,)).parameter == parameter
+
 
 class TestOptimize:
     def test_empty_free_set_returns_base(self, base_params):
