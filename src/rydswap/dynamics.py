@@ -5,9 +5,13 @@ static interaction diagonals (tens of GHz) cost nothing in step size; the
 step is limited only by envelope smoothness.  Every stage Hamiltonian is
 block-diagonal, with blocks derived from the atoms (see
 HamiltonianSpec.block_groups), and one kernel propagates each group of
-equal-shape blocks on its own.  The drive amplitudes are read at every
-step midpoint.  A stage whose amplitudes are the same at every step
-exponentiates each block once with ``expm``.  In any other stage a step's
+equal-shape blocks on its own.  A block's step propagator is a phase times
+the Kronecker product of its factor rows' exponentials, and the kernel works
+on the distinct rows, never on assembled blocks.  The drive amplitudes are
+read at every step midpoint.  Where they are the same at every step, and
+for 1-state blocks, each distinct row is exponentiated once with ``expm``,
+its powers come by doubling and P_r is a trace against the Gram matrix of
+the initial states, with no step loop.  In any other stage a step's
 cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
 an intensity factor per noisy family), the coordinates of its drive row in
 the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
@@ -18,11 +22,11 @@ step's exponential is the Lagrange-weighted sum of the node exponentials
 (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
 Where the grid would outnumber the steps the nodes are the steps
 themselves.  The interpolant is checked against a direct exponential at
-the step of largest Lebesgue sum.  A block spanning two clusters is the
-Kronecker product of their exponentials.  ``propagate_matrix`` is that
-kernel, ``propagate`` its one-column view.  A scipy explicit Runge-Kutta
-propagation and the dense ``evolve_step`` are kept alongside as
-independent cross-checks.
+the step of largest Lebesgue sum.  Each step applies the factors to their
+axes of the block states, X <- phase A X B^T for two clusters.
+``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
+scipy explicit Runge-Kutta propagation and the dense ``evolve_step`` are
+kept alongside as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -153,18 +157,6 @@ def _factor_exponentials(group: BlockGroup, energies, rows: np.ndarray, dt: floa
     return out
 
 
-def _assemble(group: BlockGroup, phase: np.ndarray, factor_exps: list[np.ndarray]) -> np.ndarray:
-    """Step propagators of a group's blocks: the phase times the Kronecker product
-    of the blocks' factor rows, as exp(A (+) B) = exp(A) (x) exp(B)."""
-    u = phase
-    for slot, b in enumerate(factor_exps):
-        b = b[:, group.rows[:, slot]]
-        # the Kronecker product, this slot's states least significant
-        da, db = u.shape[-1], b.shape[-1]
-        u = (u[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*b.shape[:-2], da * db, da * db)
-    return u
-
-
 def _affine_axes(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal axes (r, n_drives) of the affine span of the rows and each row's coordinates (n, r)."""
     diff = factors - factors[0]
@@ -265,6 +257,7 @@ def propagate_matrix(
     if np.any(norms0 > 1.0 + 1e-9):
         raise ValueError("initial state norm exceeds 1")
     cols = columns.astype(complex)
+    n_cols = cols.shape[1]
 
     ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
     times = [np.zeros(1)]
@@ -285,20 +278,49 @@ def propagate_matrix(
         else:
             axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
-        stage_pr = np.zeros((n, cols.shape[1]))
+        stage_pr = np.zeros((n, n_cols))
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
             n_blocks, d = group.index.shape
             psi_g = cols[group.index]  # (n_blocks, d, n_cols)
             ryd_g = ryd[group.index]
-            u_fixed = None
-            if d == 1:
-                u_fixed = np.exp(-1j * dt * diag[group.index])[..., None]
-            elif constant:
-                u_fixed = expm(-1j * dt * h_const[group.index[:, :, None], group.index[:, None, :]])
+            ref = group.index[:, 0]
+            phase = np.exp(-1j * dt * diag[ref])
+            if constant or not group.factor_index:
+                # block b steps by phase_b F_r, F_r = exp of its distinct rows r.  Blocks of one key (r,
+                # |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G) after k steps,
+                # with G the key's Gram matrix sum_b x_b x_b+ per column.
+                rows, first, row_of = np.unique(group.rows, axis=0, return_index=True, return_inverse=True)
+                i = group.index[first]
+                f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
+                     if group.factor_index else np.ones((1, 1, 1)))
+                keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
+                                                    return_index=True, return_inverse=True)
+                gram = (np.equal.outer(np.arange(len(keys)), key_of) @ (psi_g.conj()[:, :, None] * psi_g[:, None])
+                        .reshape(n_blocks, -1)).reshape(len(keys), d * d, n_cols)
+                _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows, %d Gram keys",
+                           i_stage, n_blocks, d, n, len(rows), len(keys))
+                chunk = max(1, _CHUNK_ELEMENTS // (len(keys) * max(d * d, n_cols)))
+                base = f[None]  # F^1..F^chunk by doubling
+                while len(base) < min(n, chunk):
+                    base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
+                for k0 in range(0, n, chunk):
+                    k1 = min(n, k0 + chunk)
+                    f_k = base[:k1 - k0] @ f_k[-1] if k0 else base[:k1 - k0]
+                    g = f_k[:, row_of[key_first]]
+                    m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(k1 - k0, -1, d * d)
+                    decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
+                    stage_pr[k0:k1] += np.einsum("sk,ksc->sc", decay, np.swapaxes(m, 0, 1) @ gram).real
+                    if record_populations:  # the same powers, applied to every block
+                        sub = max(1, _CHUNK_ELEMENTS // (n_blocks * d * n_cols))
+                        for j0 in range(k0, k1, sub):
+                            j1 = min(k1, j0 + sub)
+                            decay = np.exp(np.outer(np.arange(j0 + 1, j1 + 1), 2.0 * dt * diag[ref].imag))
+                            x = f_k[j0 - k0:j1 - k0, row_of] @ psi_g
+                            stage_pops[j0:j1][:, group.index] = decay[..., None, None] * np.abs(x) ** 2
+                psi_g = phase[:, None, None] ** n * (f_k[-1, row_of] @ psi_g)
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
-                phase = np.exp(-1j * dt * diag[group.index[:, 0]])[:, None, None]
                 nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
                 gap = 0.0
                 if weights is not None:
@@ -308,29 +330,35 @@ def propagate_matrix(
                            i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
                 if gap > _CHECK_TOL:
                     raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
-            chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * d * max(d, cols.shape[1])))
-            for k0 in range(0, n, chunk):
-                k1 = min(n, k0 + chunk)
-                if u_fixed is not None:
-                    u = np.broadcast_to(u_fixed, (k1 - k0, n_blocks, d, d))
-                else:  # without weights the nodes are the steps
-                    u = _assemble(group, phase, _factor_exponentials(group, energies, factors[k0:k1], dt)
-                                  if weights is None else
-                                  [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
-                if d == 1:
-                    traj = np.cumprod(u, axis=0) * psi_g
-                    psi_g = traj[-1]
-                else:
+                # factor k acts on axis k of the block states; the factors commute, so the
+                # first goes last and writes the trajectory
+                dims = [len(i[0]) for i in group.factor_index]
+                chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
+                psi_g = psi_g.reshape(n_blocks, dims[0], -1)
+                for k0 in range(0, n, chunk):
+                    k1 = min(n, k0 + chunk)
+                    exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
+                            [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
+                    us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
+                    us[0] *= phase[:, None, None]
+                    steps = [(us[slot][:, :, None], (n_blocks, math.prod(dims[:slot]), dk, -1))
+                             for slot, dk in enumerate(dims) if slot]
                     traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
                     for j in range(k1 - k0):
-                        psi_g = np.matmul(u[j], psi_g, out=traj[j])
-                if not np.all(np.isfinite(psi_g)):
-                    raise PropagationError(f"non-finite amplitudes at t={t_offset + k1 * dt:.6f} us")
-                pop = np.abs(traj) ** 2
-                stage_pr[k0:k1] += np.einsum("sbdc,bd->sc", pop, ryd_g)
-                if record_populations:
-                    stage_pops[k0:k1][:, group.index] = pop
-            cols[group.index] = psi_g
+                        x = psi_g
+                        for u, shape in steps:
+                            x = np.matmul(u[j], x.reshape(shape)).reshape(psi_g.shape)
+                        psi_g = np.matmul(us[0][j], x, out=traj[j])
+                    # P_r weights the squared real and imaginary parts, then adds them
+                    sq = traj.reshape(k1 - k0, -1, n_cols).view(float) ** 2
+                    p = ryd_g.ravel() @ sq
+                    stage_pr[k0:k1] += p[..., 0::2] + p[..., 1::2]
+                    if record_populations:
+                        stage_pops[k0:k1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
+                            k1 - k0, n_blocks, d, n_cols)
+            if not np.all(np.isfinite(psi_g)):
+                raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
+            cols[group.index] = psi_g.reshape(n_blocks, d, n_cols)
         times.append(t_offset + np.arange(1, n + 1) * dt)
         p_r.append(stage_pr)
         if record_populations:

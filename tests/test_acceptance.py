@@ -525,7 +525,7 @@ def mux_params():
 
 def test_criterion_10_multiplexed_routing(mux_params):
     results = {}
-    for variant, resolution in (("MUX_SWAP_3T", 400), ("MUX_SWAP_4T", 400)):
+    for variant, resolution in (("MUX_SWAP_3T", 400), ("MUX_SWAP_4T", 800)):
         proto = make_protocol(variant, mux_params)
         proto = replace(proto, plan=StagePlan(proto.plan.stages, StepPolicy(gaussian_resolution=resolution)))
         rep = run_gate(proto)

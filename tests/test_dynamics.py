@@ -290,11 +290,14 @@ def test_block_kernel_matches_dense_per_step_oracle():
 def _dense_oracle(plan, cols, noise=None):
     """Dense per-step propagation: evolve_step on the evaluator's full H at each step midpoint.
 
-    In a stage whose drives vary the kernel splits the decay off
-    symmetrically around each unitary step; the oracle splits it the same
-    way, so the comparison measures the block assembly, not the splitting.
+    Returns the final states, P_r (n_samples, n_cols) and the populations
+    (n_samples, dim, n_cols) at t = 0 and after every step.  In a stage
+    whose drives vary the kernel splits the decay off symmetrically around
+    each unitary step; the oracle splits it the same way, so the comparison
+    measures the block assembly, not the splitting.
     """
     psi, t_offset = cols.astype(complex), 0.0
+    pops = [np.abs(psi) ** 2]
     for stage in plan.stages:
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
@@ -310,8 +313,20 @@ def _dense_oracle(plan, cols, noise=None):
                 psi = damp * evolve_step(h - 1j * np.diag(half_decay), dt, damp * psi)
             else:
                 psi = evolve_step(h, dt, psi)
+            pops.append(np.abs(psi) ** 2)
         t_offset += stage.duration
-    return psi
+    pops = np.array(pops)
+    ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
+    return psi, np.einsum("sdc,d->sc", pops, ryd), pops
+
+
+def _assert_matches_oracle(res, oracle, state_tol):
+    psi, p_r, pops = oracle
+    assert np.max(np.abs(res.final_state - psi)) < state_tol
+    assert np.max(np.abs(res.rydberg_populations - p_r)) < 1e-10
+    assert np.max(np.abs(res.time_integrated_rydberg - np.trapezoid(p_r, res.rydberg_times, axis=0))) < 1e-10
+    if res.population_traj is not None:
+        assert np.max(np.abs(res.population_traj - pops)) < 1e-10
 
 
 def _oracle_case(name):
@@ -337,8 +352,37 @@ def test_merged_and_factored_kernel_matches_dense_oracle(name):
     proto, policy, noise = _oracle_case(name)
     plan = StagePlan(proto.plan.stages, policy)
     cols = np.eye(proto.basis.dim)[:, list(proto.basis.comp_indices)]
-    res = propagate_matrix(plan, cols, noise)
-    assert np.max(np.abs(res.final_state - _dense_oracle(plan, cols, noise))) < 1e-9
+    _assert_matches_oracle(propagate_matrix(plan, cols, noise), _dense_oracle(plan, cols, noise), 1e-9)
+
+
+def _constant_stage_plan():
+    """One square-pulse stage whose driven atom's block repeats under each level of an undriven atom.
+
+    Atom 1 is never driven and nothing interacts, so all five blocks share
+    one factor row.  Their reference states differ: atom 1 in |0> or |1>
+    (no decay, no Rydberg weight, different energies), in ra or rb (Rydberg,
+    two decay rates) or in rc (Rydberg without decay).
+    """
+    atom1 = LevelScheme(("0", "1", "ra", "rb", "rc"), (False, False, True, True, True), (0.0, 0.0, 0.5, 2.0, 0.0))
+    basis = build_basis([qubit_scheme(("r",), 1.0), atom1])
+    frame = ((0, "1", TWO_PI * 3.0), (1, "1", TWO_PI * 2.0), (1, "rb", TWO_PI * 5.0))
+    drives = (DriveTerm(0, "0", "1", square_pulse(TWO_PI * 4.0, 0.0, 0.6), family="omega1"),
+              DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0, 0.0, 0.6), detuning=TWO_PI * 1.5, family="omega2"))
+    return StagePlan((Stage(0.6, HamiltonianSpec(basis, drives, frame_detunings=frame)),), StepPolicy(square_resolution=37))
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_constant_stage_closed_form_matches_dense_oracle(record):
+    plan = _constant_stage_plan()
+    basis = plan.stages[0].spec.basis
+    (group,) = plan.stages[0].spec.block_groups()
+    assert group.index.shape == (5, 3) and len(np.unique(group.rows, axis=0)) == 1
+    rng = np.random.default_rng(6)
+    cols = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+    cols /= np.linalg.norm(cols, axis=0)
+    res = propagate_matrix(plan, cols, record_populations=record)
+    assert (res.population_traj is not None) == record
+    _assert_matches_oracle(res, _dense_oracle(plan, cols), 1e-12)
 
 
 def _interpolation_case(name):
@@ -412,7 +456,7 @@ def test_three_independent_drives_take_the_steps_as_nodes():
     assert len(counts) == 3 and interp is None
     assert math.prod(counts) >= _stage_steps(plan.stages[0], plan.policy)
     cols = np.eye(basis.dim)
-    assert np.max(np.abs(propagate_matrix(plan, cols).final_state - _dense_oracle(plan, cols))) < 1e-9
+    assert np.max(np.abs(propagate_matrix(plan, cols).final_state - _dense_oracle(plan, cols)[0])) < 1e-9
 
 
 def test_axis_nodes_grow_with_tau_and_give_way_to_the_steps():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rydswap import gates
 from rydswap.gates import (
     GateParams,
     VARIANTS,
@@ -260,7 +261,24 @@ def test_conditional_rotation_fidelity_identity(cswap_report):
 
 def test_calibrate_duration_rejects_a_maximum_on_the_window_edge():
     # the fidelity still rises at the last coarse point of this narrow
-    # window; that point lies past the window, so refining around it would
-    # return a duration outside it
+    # window, so refining around it would return a duration outside it
     with pytest.raises(ValueError, match="no interior maximum"):
         calibrate_duration("SWAP", table_params("SWAP"), 4.68, half_width=0.003)
+
+
+@pytest.mark.parametrize("t_seed, half_width, coarse", [(4.68, 0.003, 2e-3), (4.667009569172907, 0.03, 2e-3),
+                                                        (4.6669, 0.015, 5e-3), (1.0, 0.1, 0.02)])
+def test_calibrate_duration_grid_lies_inside_its_window(monkeypatch, t_seed, half_width, coarse):
+    # np.arange(lo, hi + coarse, coarse) ends one step past hi in all four
+    grids = []
+
+    def best_second_point(f, grid, xtol):
+        grids.append(grid)
+        return grid[1], 1
+
+    monkeypatch.setattr(gates, "crest", best_second_point)
+    calibrate_duration("SWAP", table_params("SWAP"), t_seed, half_width=half_width, coarse=coarse)
+    (grid,) = grids
+    lo, hi = (1.0 - half_width) * t_seed, (1.0 + half_width) * t_seed
+    assert grid[0] == lo and grid[-1] <= hi < grid[-1] + coarse
+    assert np.allclose(np.diff(grid), coarse)
