@@ -98,18 +98,6 @@ def effective_params(omega1: float, omega2: float, delta: float, v: float) -> Ef
     )
 
 
-def dark_state(omega1: float, omega2: float) -> np.ndarray:
-    """Zero-eigenvalue eigenstate over (|00>, |0r>, |r0>).
-
-    (W2, -W1, -W1) / sqrt(2 W1^2 + W2^2); the population returns to |00>
-    whenever the W1 envelope closes, having acquired no dynamical phase.
-    """
-    if omega1 == 0.0 and omega2 == 0.0:
-        raise ValueError("dark state undefined with both drives off")
-    vec = np.array([omega2, -omega1, -omega1], dtype=float)
-    return vec / np.linalg.norm(vec)
-
-
 def truncated_gaussian_square_integral(sigma_ratio: float = 0.25) -> float:
     """c2 = integral over [0,1] of the unit truncated-Gaussian envelope squared.
 
@@ -144,18 +132,18 @@ def swap_time_estimate(
     return t_est, 0.5 * t_est
 
 
-def crest(f: Callable[[float], float], grid, xtol: float) -> tuple[float, int]:
+def crest(f: Callable[[float], float], grid, xtol: float) -> float:
     """Best grid point of f, refined by golden section between its neighbours.
 
-    Returns (x, k): k indexes the best grid point, x is the centre of the
-    final bracket, at most xtol wide.  A ripple shorter than the grid step
-    still ends on one local maximum.  An end point k has one neighbour and
-    is returned unrefined, for the caller to accept or reject.
+    Returns the centre of the final bracket, at most xtol wide.  A ripple
+    shorter than the grid step still ends on one local maximum.  A best
+    point on an end of the grid has one neighbour, so after the whole grid
+    is evaluated it raises ValueError.
     """
     vals = [f(x) for x in grid]
     k = int(np.argmax(vals))
     if k in (0, len(grid) - 1):
-        return float(grid[k]), k
+        raise ValueError("no interior maximum in the calibration bracket")
     lo, hi = grid[k - 1], grid[k + 1]
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -171,7 +159,7 @@ def crest(f: Callable[[float], float], grid, xtol: float) -> tuple[float, int]:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
             f1 = f(x1)
-    return float(0.5 * (lo + hi)), k
+    return float(0.5 * (lo + hi))
 
 
 def calibrate_swap_time(
@@ -215,11 +203,7 @@ def calibrate_swap_time(
             raise ValueError("transfer target not reached inside the bracket")
         return float(brentq(lambda t: amplitude(t) - transfer_target, lo, hi, xtol=xtol))
 
-    grid = np.linspace(lo, hi, 41)
-    t, k = crest(amplitude, grid, xtol)
-    if k in (0, len(grid) - 1):
-        raise ValueError("no interior maximum in the calibration bracket")
-    return t
+    return crest(amplitude, np.linspace(lo, hi, 41), xtol)
 
 
 @dataclass(frozen=True)

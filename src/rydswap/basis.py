@@ -82,6 +82,7 @@ class ProductBasis:
     schemes: tuple[LevelScheme, ...]
     dim: int = field(init=False)
     comp_indices: tuple[int, ...] = field(init=False)
+    _levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.schemes:
@@ -90,6 +91,15 @@ class ProductBasis:
         for s in self.schemes:
             dim *= s.n_levels
         object.__setattr__(self, "dim", dim)
+
+        levels = []
+        trailing = dim
+        for scheme in self.schemes:
+            trailing //= scheme.n_levels
+            idx = (np.arange(dim) // trailing) % scheme.n_levels
+            idx.flags.writeable = False
+            levels.append(idx)
+        object.__setattr__(self, "_levels", tuple(levels))
 
         # Logical levels are "0" and "1" by convention (first two of a scheme).
         comp = []
@@ -124,19 +134,14 @@ class ProductBasis:
             out.append(scheme.labels[lev])
         return tuple(reversed(out))
 
-    def level_arrays(self) -> list[np.ndarray]:
+    def level_arrays(self) -> tuple[np.ndarray, ...]:
         """Per-atom integer level index of every basis state.
 
-        Returns a list with one int array of length ``dim`` per atom; used to
-        vectorize diagonal operators over the product space.
+        One read-only int array of length ``dim`` per atom, built once with
+        the basis; used to vectorize diagonal operators over the product
+        space.
         """
-        arrays = []
-        trailing = self.dim
-        for scheme in self.schemes:
-            trailing //= scheme.n_levels
-            idx = (np.arange(self.dim) // trailing) % scheme.n_levels
-            arrays.append(idx)
-        return arrays
+        return self._levels
 
     def occupation_mask(self, atom: int, label: str) -> np.ndarray:
         """Boolean mask of basis states where ``atom`` occupies ``label``."""

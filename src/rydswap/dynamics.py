@@ -401,7 +401,7 @@ def propagate_rk(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> np.ndarray:
-    """Cross-check propagation with scipy's explicit Runge-Kutta (RK45).
+    """Cross-check propagation with scipy's explicit Runge-Kutta (DOP853).
 
     Independent of the exponential stepper and of the block structure: the
     right-hand side is -i (diagonal + the dense couplings summed per distinct

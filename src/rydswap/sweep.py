@@ -1,14 +1,10 @@
-"""Parameter scans, distance optimization and derivative-free calibration."""
+"""One-parameter scans of a gate metric."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
-import numpy as np
-from scipy.optimize import minimize
-
-from .analytic import crest
 from .gates import GateParams, make_protocol, rotation_fidelity, run_gate
 
 METRICS = ("fidelity", "rotation_fidelity", "infidelity_with_loss")
@@ -16,14 +12,13 @@ _INT_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type == "int")
 _NUMERIC_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type.removesuffix(" | None") in ("float", "int"))
 
 
-def _with_values(base: GateParams, names, values) -> GateParams:
-    """base with the named fields set, each cast to its field's type.
+def _with_value(base: GateParams, name: str, v: float) -> GateParams:
+    """base with one field set, cast to its field's type.
 
     An integer field takes an integral value as int and anything else
     unchanged, for GateParams to reject.
     """
-    return replace(base, **{name: int(v) if name in _INT_FIELDS and float(v).is_integer() else float(v)
-                            for name, v in zip(names, values)})
+    return replace(base, **{name: int(v) if name in _INT_FIELDS and float(v).is_integer() else float(v)})
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ def scan(spec: ScanSpec) -> list[ScanRow]:
     rows = []
     for v in spec.values:
         try:
-            params = _with_values(spec.base, (spec.parameter,), (v,))
+            params = _with_value(spec.base, spec.parameter, v)
             val, report = evaluate_metric(spec.variant, params, spec.metric)
             rows.append(
                 ScanRow(
@@ -93,156 +88,4 @@ def scan(spec: ScanSpec) -> list[ScanRow]:
         except Exception as exc:
             rows.append(ScanRow(value=float(v), metric=math.nan, fidelity=math.nan,
                                 mean_loss=math.nan, t_bar_r=math.nan, error=str(exc)))
-    return rows
-
-
-@dataclass
-class OptimizeResult:
-    params: GateParams
-    metric: float
-    n_evaluations: int
-    budget_exhausted: bool
-    trace: list[float] = field(default_factory=list)
-
-
-def optimize(
-    variant: str,
-    base: GateParams,
-    free: tuple[str, ...],
-    metric: str = "infidelity_with_loss",
-    budget: int = 200,
-) -> OptimizeResult:
-    """Derivative-free descent on the metric over the named free parameters.
-
-    The gate metric ripples on a sub-permille parameter scale (phase
-    alignment of the accumulated light shifts), which strands a bare simplex
-    far from the optimum.  Two passes of ``crest`` line searches, one per
-    free parameter over +-5% (then +-1.25%) of its value around the
-    incumbent and refined to 1e-5 of it (the duration ripple's period is
-    about 2e-4 of the duration), first locate the phase-aligned valley and
-    a crest in it (up to 70% of the budget), then a normalized Nelder-Mead
-    simplex polishes within it.  Never returns a point worse than the base; an
-    exhausted budget returns best-so-far with the flag set.
-    """
-    minimize_sign = 1.0 if metric == "infidelity_with_loss" else -1.0
-    base_val, _ = evaluate_metric(variant, base, metric)
-    if not free:
-        return OptimizeResult(params=base, metric=base_val, n_evaluations=1, budget_exhausted=False)
-
-    x0 = np.array([getattr(base, f) for f in free], dtype=float)
-    scale = np.where(np.abs(x0) > 0, np.abs(x0), 1.0)
-    trace: list[float] = []
-    n_eval = 0
-    best = {"val": minimize_sign * base_val, "x": x0.copy()}
-
-    def objective(x):
-        nonlocal n_eval
-        if n_eval >= budget:
-            return best["val"] + 1e6
-        n_eval += 1
-        try:
-            val, _ = evaluate_metric(variant, _with_values(base, free, x), metric)
-        except Exception:
-            return best["val"] + 1e6
-        signed = minimize_sign * val
-        if signed < best["val"]:
-            best["val"], best["x"] = signed, np.asarray(x, dtype=float).copy()
-        trace.append(best["val"] if minimize_sign > 0 else -best["val"])
-        return signed
-
-    def along(k: int, center: np.ndarray):
-        return lambda v: -objective(np.concatenate([center[:k], [v], center[k + 1:]]))
-
-    n_grid = max(5, min(17, (budget // 2) // max(1, 2 * len(free))))
-    span = 0.05
-    for _ in range(2):
-        for k in range(len(free)):
-            if n_eval + n_grid > budget * 0.7:
-                break
-            center = best["x"].copy()
-            crest(along(k, center), center[k] + np.linspace(-span, span, n_grid) * scale[k], 1e-5 * scale[k])
-        span /= 4.0
-
-    remaining = budget - n_eval
-    if remaining > len(free) + 1:
-        z0 = best["x"] / scale
-        simplex = np.vstack([z0] + [z0 + np.eye(len(free))[k] * 2e-3 for k in range(len(free))])
-        minimize(
-            lambda z: objective(z * scale),
-            z0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "initial_simplex": simplex,
-            },
-        )
-
-    best_val = minimize_sign * best["val"]
-    best_params = _with_values(base, free, best["x"])
-    return OptimizeResult(params=best_params, metric=float(best_val), n_evaluations=n_eval,
-                          budget_exhausted=n_eval >= budget, trace=trace)
-
-
-@dataclass(frozen=True)
-class DistanceSpec:
-    """Control-target distance scan on the triangular geometry.
-
-    c6 is quoted in THz um^6 (sign included); with angular=True (the
-    default) values convert with the usual 2*pi, and a switch is provided
-    because the literature convention for this constant is not fixed.  Both
-    control-target distances equal R; the target-target spacing is held
-    fixed (v_tt stays at its configured value).
-    """
-
-    variant: str
-    base: GateParams
-    r_grid: tuple[float, ...]  # um
-    c6_thz_um6: float = -80.0
-    angular: bool = True
-    free: tuple[str, ...] = ("omega2", "delta", "duration")
-    budget: int = 60
-
-    def __post_init__(self):
-        if not self.r_grid or any(r <= 0 for r in self.r_grid):
-            raise ValueError("R grid must be positive")
-        if self.budget < 1:
-            raise ValueError("optimizer budget must be >= 1")
-
-
-def interaction_shift(c6_thz_um6: float, r_um: float, angular: bool = True) -> float:
-    """V(R) = C6 / R^6 in rad/us (THz um^6 -> 1e6 MHz um^6)."""
-    v_mhz = c6_thz_um6 * 1e6 / r_um**6
-    return (2.0 * math.pi if angular else 1.0) * v_mhz
-
-
-@dataclass
-class DistanceRow:
-    r_um: float
-    v_ct: float
-    infidelity_with_loss: float
-    rotation_infidelity: float
-    params: GateParams
-    budget_exhausted: bool = False
-    error: str = ""
-
-
-def distance_scan(spec: DistanceSpec) -> list[DistanceRow]:
-    """Per distance: set V(R), re-optimize the free parameters, report the
-    loss-inclusive infidelity."""
-    rows = []
-    for r in spec.r_grid:
-        v = interaction_shift(spec.c6_thz_um6, r, spec.angular)
-        base = replace(spec.base, v_ct=v)
-        try:
-            res = optimize(spec.variant, base, spec.free, metric="infidelity_with_loss",
-                           budget=spec.budget)
-            rot, _ = evaluate_metric(spec.variant, res.params, "rotation_fidelity")
-            rows.append(DistanceRow(r_um=float(r), v_ct=v, infidelity_with_loss=res.metric,
-                                    rotation_infidelity=1.0 - rot, params=res.params,
-                                    budget_exhausted=res.budget_exhausted))
-        except Exception as exc:
-            rows.append(DistanceRow(r_um=float(r), v_ct=v, infidelity_with_loss=math.nan,
-                                    rotation_infidelity=math.nan, params=base, error=str(exc)))
     return rows

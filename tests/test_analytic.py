@@ -6,7 +6,6 @@ import pytest
 from rydswap.analytic import (
     calibrate_swap_time,
     crest,
-    dark_state,
     effective_params,
     predict_phases,
     swap_time_estimate,
@@ -64,30 +63,6 @@ class TestEffectiveParams:
             effective_params(1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             effective_params(1.0, 1.0, 5.0, 5.0)
-
-
-class TestDarkState:
-    def test_limit_cases(self):
-        assert np.allclose(dark_state(0.0, 1.0), [1.0, 0.0, 0.0])
-        sym = dark_state(1.0, 1.0)
-        assert np.allclose(sym, np.array([1.0, -1.0, -1.0]) / math.sqrt(3))
-        with pytest.raises(ValueError):
-            dark_state(0.0, 0.0)
-
-    def test_is_zero_eigenvector_of_reduced_hamiltonian(self):
-        # five-state lambda system {00, 01, 10, 0r, r0}: the logical drive
-        # connects 00 to 01/10, the optical drive closes each arm, and the
-        # dark vector (om2, -om1, -om1) over (00, 0r, r0) is annihilated
-        om1, om2, delta_p = 3.0, 11.0, 2.4
-        h = np.zeros((5, 5))
-        h[0, 1] = h[1, 0] = om1 / 2
-        h[0, 2] = h[2, 0] = om1 / 2
-        h[1, 3] = h[3, 1] = om2 / 2
-        h[2, 4] = h[4, 2] = om2 / 2
-        h[1, 1] = h[2, 2] = delta_p
-        d = dark_state(om1, om2)
-        psi = np.array([d[0], 0.0, 0.0, d[1], d[2]])
-        assert np.max(np.abs(h @ psi)) < 1e-12
 
 
 class TestSwapTimeEstimate:
@@ -170,19 +145,22 @@ class TestCrest:
     def test_refines_to_a_local_maximum_inside_the_best_cell(self):
         grid = np.linspace(0.0, 1.0, 21)
         xtol = 1e-6
-        x, k = crest(self.f, grid, xtol)
-        assert k == int(np.argmax(self.f(grid)))
+        x = crest(self.f, grid, xtol)
+        k = int(np.argmax(self.f(grid)))
         assert grid[k - 1] < x < grid[k + 1]
         assert self.df(x - xtol) > 0.0 > self.df(x + xtol)
         assert self.f(x) >= self.f(grid[k])
 
     @pytest.mark.parametrize("sign, k_end", [(1.0, 10), (-1.0, 0)])
-    def test_reports_an_end_point_unrefined(self, sign, k_end):
+    def test_rejects_an_end_point(self, sign, k_end):
+        # the best point grid[k_end] has one neighbour: the whole grid is
+        # evaluated, then nothing is refined
         grid = np.linspace(0.0, 1.0, 11)
         calls = []
-        x, k = crest(lambda t: calls.append(t) or sign * t, grid, 1e-6)
-        assert (x, k) == (grid[k_end], k_end)
-        assert len(calls) == len(grid)
+        with pytest.raises(ValueError, match="no interior maximum"):
+            crest(lambda t: calls.append(t) or sign * t, grid, 1e-6)
+        assert calls == list(grid)
+        assert int(np.argmax([sign * t for t in grid])) == k_end
 
 
 class TestPredictPhases:

@@ -1,0 +1,65 @@
+"""Every public top-level function and class in the package has a caller.
+
+A public name that only tests reach must earn its place (a test oracle or a
+reference the simulator is checked against) or go; this module lists the
+ones kept for that reason.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rydswap"
+
+# public names kept although no package or benchmark module names them
+ORACLES = {
+    "effective_params": "adiabatic-elimination constants the simulated exchange is checked against",
+    "predict_phases": "closed-form light-shift phases that criterion 5 compares with the simulation",
+    "acquired_phase": "per-input phase of a single-state run, compared with predict_phases by criterion 5",
+    "phase_optimized_fidelity": "best fidelity over virtual-Z phases, criterion 1's reading of sqrt_iSWAP",
+    "propagate_rk": "Runge-Kutta propagation, the independent check of the exponential stepper",
+    "evolve_step": "dense per-step exponential, the oracle of the block-factored kernel",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded, attributes read and dotted names spelled as strings, outside ``skip``."""
+    out: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            out.update(re.split(r"[.:]", node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def uncalled_public_names() -> set[str]:
+    modules = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    bench = set().union(*(_referenced(ast.parse(p.read_text())) for p in (ROOT / "perfbench").glob("*.py")))
+    refs = {path: _referenced(tree) for path, tree in modules.items()}
+    uncalled = set()
+    for path, tree in modules.items():
+        others = bench.union(*(r for p, r in refs.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in others | _referenced(tree, skip=node):
+                uncalled.add(node.name)
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    uncalled = uncalled_public_names()
+    assert uncalled - set(ORACLES) == set()
+    # a listed name that gains a caller, or is deleted, leaves the list
+    assert set(ORACLES) - uncalled == set()

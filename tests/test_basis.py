@@ -92,3 +92,15 @@ def test_rydberg_and_decay_diagonals():
     dec = basis.decay_diagonal()
     assert dec[basis.index_of(("r", "1"))] == pytest.approx(0.25)
     assert dec[basis.index_of(("r", "r"))] == pytest.approx(0.5)
+
+
+def test_level_arrays_built_once_read_only():
+    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True), (0.0,) * 4)
+    basis = build_basis([qubit_scheme(("r",)), four, qubit_scheme(("r", "s"))])
+    first, second = basis.level_arrays(), basis.level_arrays()
+    assert len(first) == basis.n_atoms
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
+    for index in range(basis.dim):
+        labels = basis.labels_of(index)
+        assert [s.labels[lv[index]] for s, lv in zip(basis.schemes, first)] == list(labels)
+    assert basis == build_basis(basis.schemes) and hash(basis) == hash(build_basis(basis.schemes))

@@ -274,7 +274,7 @@ def test_calibrate_duration_grid_lies_inside_its_window(monkeypatch, t_seed, hal
 
     def best_second_point(f, grid, xtol):
         grids.append(grid)
-        return grid[1], 1
+        return grid[1]
 
     monkeypatch.setattr(gates, "crest", best_second_point)
     calibrate_duration("SWAP", table_params("SWAP"), t_seed, half_width=half_width, coarse=coarse)
