@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .dynamics import StagePlan, propagate
@@ -98,34 +97,30 @@ def effective_params(omega1: float, omega2: float, delta: float, v: float) -> Ef
     )
 
 
-def truncated_gaussian_square_integral(sigma_ratio: float = 0.25) -> float:
+def truncated_gaussian_square_integral() -> float:
     """c2 = integral over [0,1] of the unit truncated-Gaussian envelope squared.
 
-    For an envelope of peak 1, duration T and sigma = sigma_ratio * T, the
-    squared-pulse area is peak^2 * T * c2.
+    For an envelope of peak 1, duration T and sigma = s T with s = 1/4, the
+    squared-pulse area is peak^2 * T * c2, in closed form
+
+        c2 = s sqrt(pi) erf(2) - 2 e^-2 s sqrt(2 pi) erf(sqrt 2) + e^-4.
     """
-    floor = math.exp(-1.0 / (8.0 * sigma_ratio**2))
-
-    def f(x: float) -> float:
-        return (math.exp(-((x - 0.5) ** 2) / (2.0 * sigma_ratio**2)) - floor) ** 2
-
-    val, _ = quad(f, 0.0, 1.0, limit=200)
-    return val
+    s = 0.25
+    return (s * math.sqrt(math.pi) * math.erf(2.0)
+            - 2.0 * math.exp(-2.0) * s * math.sqrt(2.0 * math.pi) * math.erf(math.sqrt(2.0)) + math.exp(-4.0))
 
 
-def swap_time_estimate(
-    omega1_max: float, delta: float, sigma_ratio: float = 0.25
-) -> tuple[float, float]:
+def swap_time_estimate(omega1_max: float, delta: float) -> tuple[float, float]:
     """Exchange-time estimate from the fourth-order rate condition.
 
     Solves integral of W1(t)^2 / (6 D) dt = pi for a truncated Gaussian with
-    sigma = sigma_ratio * T (self-consistent in T).  The printed condition is
+    sigma = T/4 (self-consistent in T).  The printed condition is
     convention-ambiguous by a factor of two, so both the direct solution and
     its half are returned; calibrate_swap_time is the authoritative source.
     """
     if omega1_max == 0.0 or delta == 0.0:
         raise ValueError("no positive solution with a zero drive or detuning")
-    c2 = truncated_gaussian_square_integral(sigma_ratio)
+    c2 = truncated_gaussian_square_integral()
     t_est = 6.0 * math.pi * delta / (omega1_max**2 * c2)
     if t_est <= 0:
         raise ValueError("no positive solution (check the sign of delta)")

@@ -76,7 +76,8 @@ class ProductBasis:
 
     Atom 0 is most significant; within each atom the level order follows its
     scheme.  ``comp_indices`` lists, in lexicographic qubit order 00..0 to
-    11..1, the basis indices whose atoms all occupy logical levels.
+    11..1, the basis indices whose atoms all occupy their first two levels,
+    the qubit levels ``0`` and ``1``.
     """
 
     schemes: tuple[LevelScheme, ...]
@@ -101,15 +102,10 @@ class ProductBasis:
             levels.append(idx)
         object.__setattr__(self, "_levels", tuple(levels))
 
-        # Logical levels are "0" and "1" by convention (first two of a scheme).
-        comp = []
-        for bits in range(2 ** len(self.schemes)):
-            levels = []
-            for a in range(len(self.schemes)):
-                bit = (bits >> (len(self.schemes) - 1 - a)) & 1
-                levels.append(self.schemes[a].labels[bit])
-            comp.append(self.index_of(levels))
-        object.__setattr__(self, "comp_indices", tuple(comp))
+        # the qubit levels "0" and "1" are the first two of every scheme, and
+        # mixed radix keeps bit order
+        comp = np.flatnonzero(np.all(np.array(levels) < 2, axis=0))
+        object.__setattr__(self, "comp_indices", tuple(int(i) for i in comp))
 
     @property
     def n_atoms(self) -> int:

@@ -110,7 +110,6 @@ _SCHEMA = {
     "gate.vct_radus": ("v_ct", _number(), _GATE),
     "gate.vcc_radus": ("v_cc", _number(), _GATE),
     "gate.omega_c_mhz": ("omega_c", _number(TWO_PI), _GATE),
-    "gate.sigma_ratio": ("sigma_ratio", _number(), _GATE),
     "gate.lifetime_us": ("lifetime", _lifetime, _GATE),
     "gate.n_controls": ("n_controls", _integer, _GATE),
     "noise.temp_uk": ("doppler.temperature_K", _number(per=1e6), ("noise",)),
@@ -274,7 +273,7 @@ def cmd_gate(args, cp, variant, params):
 
 
 def cmd_calibrate(args, cp, variant, params):
-    t_est, t_half = swap_time_estimate(params.omega1_max, params.delta, params.sigma_ratio)
+    t_est, t_half = swap_time_estimate(params.omega1_max, params.delta)
     plan_factory = lambda t: two_target_plan(params, t)
     basis = plan_factory(1.0).stages[0].spec.basis
     psi_in = basis.basis_state(("0", "1"))

@@ -66,8 +66,10 @@ class PropagationError(RuntimeError):
 class StepPolicy:
     """Integrator step control.
 
-    The step is sigma/gaussian_resolution for stages with an active
-    Gaussian envelope and duration/square_resolution otherwise.
+    The step is a quarter of the narrowest active Gaussian window over
+    gaussian_resolution, so a Gaussian spanning its stage takes exactly
+    4 gaussian_resolution steps; a stage without one takes exactly
+    square_resolution steps.
     """
 
     gaussian_resolution: int = 800
@@ -123,17 +125,16 @@ def evolve_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
 
 
 def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
-    """Number of uniform steps for a stage."""
-    gaussian_sigmas = [
-        d.envelope.sigma
+    """Number of uniform steps for a stage (see StepPolicy)."""
+    windows = [
+        d.envelope.t_end - d.envelope.t_start
         for d in stage.spec.drives
         if d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0
     ]
-    if gaussian_sigmas:
-        dt = min(gaussian_sigmas) / policy.gaussian_resolution
-    else:
-        dt = stage.duration / policy.square_resolution
-    return max(1, math.ceil(stage.duration / dt))
+    if not windows:
+        return policy.square_resolution
+    # the ratio first: duration / window is exactly 1 for a stage-spanning pulse
+    return math.ceil(4 * policy.gaussian_resolution * (stage.duration / min(windows)))
 
 
 def _factor_exponentials(group: BlockGroup, energies, rows: np.ndarray, dt: float) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 
 from .analytic import crest, wrap_phase
 from .basis import ProductBasis, build_basis, qubit_scheme
-from .dynamics import Stage, StagePlan, propagate, propagate_matrix
+from .dynamics import Stage, StagePlan, propagate_matrix
 from .model import (
     DriveTerm,
     HamiltonianSpec,
@@ -108,7 +108,6 @@ class GateParams:
     v_ct: float = 0.0
     v_cc: float | None = None
     omega_c: float = TWO_PI * 10.0
-    sigma_ratio: float = 0.25
     lifetime: float | None = 400.0
     n_controls: int = 1
     interaction_overrides: dict | None = None
@@ -167,7 +166,6 @@ class GateReport:
     rotation_matrix: np.ndarray
     fidelity: float
     fidelity_with_loss: float
-    loss_matrix: np.ndarray
     per_input_loss: np.ndarray
     mean_loss: float
     t_bar_r: float
@@ -300,7 +298,7 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
                     t,
                     "0",
                     "1",
-                    gaussian_pulse(params.omega1_max, 0.0, params.duration, params.sigma_ratio),
+                    gaussian_pulse(params.omega1_max, 0.0, params.duration),
                     doppler_sensitive=False,
                     family="omega1",
                 )
@@ -455,14 +453,12 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
         t_ryd = t_ryd[perm]
 
     rotation = u / np.sqrt(np.clip(1.0 - loss, 1e-12, None))[None, :]
-    loss_matrix = np.where(np.abs(protocol.ideal) > 1e-12, loss[None, :], 0.0)
     return GateReport(
         variant=protocol.variant,
         u_gate=u,
         rotation_matrix=rotation,
         fidelity=process_fidelity(rotation, protocol.ideal),
         fidelity_with_loss=process_fidelity(u, protocol.ideal),
-        loss_matrix=loss_matrix,
         per_input_loss=loss,
         mean_loss=float(np.mean(loss)),
         t_bar_r=float(np.mean(t_ryd)),
@@ -533,23 +529,13 @@ def conditional_rotation_fidelity(
 def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float:
     """Acquired AC-Stark phase of one computational input, radians in (-pi, pi].
 
-    Convention: the input is propagated through the bare protocol (no
-    tabulated phase adjustments), the static frame phases are removed, and
-    the phase is read from the dominant output element as minus its argument,
-    with the pi rotation sign of a completed exchange divided out.  This
-    isolates the dynamical light-shift phase the effective model predicts.
+    Convention: the phase is read from column input_bits of the bare
+    protocol's u_gate (no tabulated phase adjustments or flank, static frame
+    phases removed, accumulated-phase sign) at its dominant element, with
+    the pi rotation sign of a completed exchange divided out.  This isolates
+    the dynamical light-shift phase the effective model predicts.
     """
-    basis = protocol.basis
-    j = 0
-    for b in input_bits:
-        j = (j << 1) | b
-    psi0 = np.zeros(basis.dim, dtype=complex)
-    psi0[basis.comp_indices[j]] = 1.0
-    res = propagate(protocol.plan, psi0)
-    amps = res.final_state[list(basis.comp_indices)]
-    amps = _frame_removal_diagonal(protocol) * amps
-    i = int(np.argmax(np.abs(amps)))
-    a = amps[i]
-    if i != j:
-        a = -a
-    return wrap_phase(-float(np.angle(a)))
+    j = int("".join(map(str, input_bits)), 2)
+    column = run_gate(replace(protocol, phase_adjust=(), conjugation=None)).u_gate[:, j]
+    i = int(np.argmax(np.abs(column)))
+    return wrap_phase(float(np.angle(column[i] if i == j else -column[i])))

@@ -5,7 +5,7 @@ config-file ingestion multiplies ordinary MHz/GHz values by 2*pi before they
 reach this layer.  The Hamiltonian assembled here is
 
     H(t) = sum_drives (Omega(t)/2)(|upper><lower| + h.c.)
-         + static frame detunings + drive detunings
+         + static frame detunings
          + pairwise interaction shifts on doubly-Rydberg product states
          - (i/2) * decay-rate diagonal,
 
@@ -33,21 +33,26 @@ class Envelope:
 
         amplitude * (exp(-(t - t_mid)^2 / 2 sigma^2) - exp(-(T/2)^2 / 2 sigma^2))
 
-    inside [t_start, t_end] and exactly zero at both endpoints and outside;
-    the square envelope is amplitude on [t_start, t_end) and zero outside.
+    with sigma = T/4 for its window T = t_end - t_start, inside [t_start,
+    t_end] and exactly zero at both endpoints and outside; the square
+    envelope is amplitude on [t_start, t_end) and zero outside.
     """
 
     kind: str
     amplitude: float = 0.0
     t_start: float = 0.0
     t_end: float = 0.0
-    sigma: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("truncated_gaussian", "square"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "truncated_gaussian" and self.sigma <= 0:
-            raise ValueError("truncated_gaussian needs sigma > 0")
+        if self.kind == "truncated_gaussian" and self.t_end <= self.t_start:
+            raise ValueError("truncated_gaussian needs t_end > t_start")
+
+    @property
+    def sigma(self) -> float:
+        """Gaussian width, a quarter of the window."""
+        return 0.25 * (self.t_end - self.t_start)
 
 
 def envelope_value(env: Envelope, t):
@@ -62,15 +67,9 @@ def envelope_value(env: Envelope, t):
     return env.amplitude * (core - floor) * ((env.t_start <= t) & (t <= env.t_end))
 
 
-def gaussian_pulse(amplitude: float, t_start: float, duration: float, sigma_ratio: float = 0.25) -> Envelope:
-    """Truncated Gaussian with sigma = sigma_ratio * duration."""
-    return Envelope(
-        "truncated_gaussian",
-        amplitude=amplitude,
-        t_start=t_start,
-        t_end=t_start + duration,
-        sigma=sigma_ratio * duration,
-    )
+def gaussian_pulse(amplitude: float, t_start: float, duration: float) -> Envelope:
+    """Truncated Gaussian on [t_start, t_start + duration], sigma = duration/4."""
+    return Envelope("truncated_gaussian", amplitude=amplitude, t_start=t_start, t_end=t_start + duration)
 
 
 def square_pulse(amplitude: float, t_start: float, duration: float) -> Envelope:
@@ -81,8 +80,8 @@ def square_pulse(amplitude: float, t_start: float, duration: float) -> Envelope:
 class DriveTerm:
     """A single coherent coupling between two levels of one atom.
 
-    detuning is a static angular frequency added to the upper level while the
-    spec is active.  doppler_sensitive marks optical Rydberg drives whose
+    A drive carries no energy: static level energies are the spec's
+    frame_detunings.  doppler_sensitive marks optical Rydberg drives whose
     upper level picks up the atom's sampled Doppler shift in a noisy run;
     microwave logical drives leave it False.  family tags the drive for
     intensity-noise grouping ("omega1", "omega2", "omega_c", ...).
@@ -92,7 +91,6 @@ class DriveTerm:
     lower: str
     upper: str
     envelope: Envelope
-    detuning: float = 0.0
     doppler_sensitive: bool = False
     family: str = ""
 
@@ -107,8 +105,7 @@ class InteractionGraph:
 
     entries maps (atom_i, level_a, atom_j, level_b) -> shift V in rad/us,
     applied on product states where atom_i occupies level_a and atom_j
-    occupies level_b.  Entries are stored with atom_i < atom_j; lookups are
-    symmetric under the (i, a) <-> (j, b) exchange.
+    occupies level_b.  from_dict stores each entry with atom_i < atom_j.
     """
 
     entries: tuple[tuple[int, str, int, str, float], ...] = ()
@@ -194,13 +191,10 @@ class HamiltonianSpec:
         return blocked
 
     def static_diagonal(self) -> np.ndarray:
-        """Frame detunings + drive detunings + interactions, real rad/us."""
+        """Frame detunings + interactions, real rad/us."""
         diag = np.zeros(self.basis.dim)
         for atom, label, energy in self.frame_detunings:
             diag[self.basis.occupation_mask(atom, label)] += energy
-        for d in self.drives:
-            if d.detuning:
-                diag[self.basis.occupation_mask(d.atom, d.upper)] += d.detuning
         diag += self.interactions.diagonal(self.basis)
         return diag
 

@@ -46,6 +46,10 @@ class CellDiff:
     def ok(self) -> bool:
         return self.deviation <= self.tol + 1e-12
 
+    @property
+    def status(self) -> str:
+        return "pass" if self.ok else ("known-red" if self.expected_red else "fail")
+
 
 @dataclass
 class TablesReport:
@@ -67,9 +71,8 @@ class TablesReport:
     def text(self) -> str:
         lines = []
         for c in self.cells:
-            status = "PASS" if c.ok else ("KNOWN-RED" if c.expected_red else "FAIL")
             lines.append(
-                f"{status:9s} {c.gate:14s} {c.quantity:8s} [{c.row},{c.col}] "
+                f"{c.status.upper():9s} {c.gate:14s} {c.quantity:8s} [{c.row},{c.col}] "
                 f"printed {c.printed:+.5g} measured {c.measured:+.5g} "
                 f"(dev {c.deviation:.2e}, tol {c.tol:.2e})"
                 + (f"  # {c.note}" if c.note and not c.ok else "")
@@ -141,7 +144,6 @@ def reproduce_tables(out_dir: Path | None = None) -> TablesReport:
             w = csv.writer(fh)
             w.writerow(["gate", "quantity", "row", "col", "printed", "measured", "deviation", "tol", "status", "note"])
             for c in out.cells:
-                status = "pass" if c.ok else ("known-red" if c.expected_red else "fail")
                 w.writerow([c.gate, c.quantity, c.row, c.col, f"{c.printed:.9g}", f"{c.measured:.9g}",
-                            f"{c.deviation:.3e}", f"{c.tol:.3e}", status, c.note])
+                            f"{c.deviation:.3e}", f"{c.tol:.3e}", c.status, c.note])
     return out

@@ -80,7 +80,7 @@ class TestSwapTimeEstimate:
 
     def test_square_envelope_closed_form(self):
         om1, delta = TWO_PI * 25.0, TWO_PI * 800.0
-        c2 = truncated_gaussian_square_integral(0.25)
+        c2 = truncated_gaussian_square_integral()
         t_est, _ = swap_time_estimate(om1, delta)
         assert t_est * c2 == pytest.approx(6 * math.pi * delta / om1**2, rel=1e-9)
 

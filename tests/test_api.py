@@ -16,7 +16,7 @@ PACKAGE = ROOT / "src" / "rydswap"
 ORACLES = {
     "effective_params": "adiabatic-elimination constants the simulated exchange is checked against",
     "predict_phases": "closed-form light-shift phases that criterion 5 compares with the simulation",
-    "acquired_phase": "per-input phase of a single-state run, compared with predict_phases by criterion 5",
+    "acquired_phase": "per-input phase read from a column of the bare gate, compared with predict_phases by criterion 5",
     "phase_optimized_fidelity": "best fidelity over virtual-Z phases, criterion 1's reading of sqrt_iSWAP",
     "propagate_rk": "Runge-Kutta propagation, the independent check of the exponential stepper",
     "evolve_step": "dense per-step exponential, the oracle of the block-factored kernel",

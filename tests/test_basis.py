@@ -53,6 +53,11 @@ def test_comp_indices_increasing_and_logical():
     for i in comp:
         labels = basis.labels_of(i)
         assert all(lab in ("0", "1") for lab in labels)
+    # a third logical level is not a qubit level; the bits keep their order
+    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True), (0.0,) * 4)
+    basis = build_basis([four, qubit_scheme(("rP", "rD")), four])
+    bits = [format(k, "03b") for k in range(8)]
+    assert basis.comp_indices == tuple(basis.index_of(tuple(b)) for b in bits)
 
 
 def test_scheme_validation():

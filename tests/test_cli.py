@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from rydswap.cli import _gate_params, _noise_spec, _parse_config, main, preset_path
+from rydswap.cli import _SCHEMA, _gate_params, _noise_spec, _parse_config, main, preset_path
 from rydswap.gates import table_params
 from rydswap.noise import DopplerSpec, NoiseSpec
 from rydswap.tables import CellDiff
@@ -256,6 +258,8 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
     ("noise", "fig3a_doppler", "noise.counter_propagating=maybe", "counter_propagating"),
     ("scan", "fig4c_vscan", "scan.metric=bogus", "metric"),
     ("scan", "fig4c_vscan", "scan.parameter=bogus", "parameter"),
+    ("gate", "table1_swap", "gate.sigma_ratio=0.3", "sigma_ratio"),
+    ("scan", "fig4c_vscan", "scan.parameter=sigma_ratio", "sigma_ratio"),
 ])
 def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, command, preset, override, key):
     rc = run_cli([command, "--preset", preset] + _SMALL[command] + ["--set", override, "--out", str(tmp_path / "o")])
@@ -286,3 +290,25 @@ def test_every_preset_runs_under_its_subcommand(tmp_path, preset):
     with resources.as_file(preset_path(preset)) as path:
         command = _parse_config(path, []).get("scenario", "kind", fallback="gate")
     assert run_cli([command, "--preset", preset] + _SMALL[command] + ["--out", str(tmp_path / "o")]) == 0
+
+
+def _readme_keys() -> dict:
+    """README's CLI key table as section.key -> the subcommands it names.
+
+    A bare key in a row belongs to the section of the row's first key;
+    parenthesized notes (value spellings) are not keys.
+    """
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = text.split("| section.key | read by |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    keys = {}
+    for row in rows:
+        names, readers = row.strip("|").split("|")
+        names = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", names))
+        section = names[0].split(".")[0]
+        for name in names:
+            keys[name if "." in name else f"{section}.{name}"] = set(re.findall(r"`([^`]+)`", readers))
+    return keys
+
+
+def test_readme_key_table_matches_the_schema():
+    assert _readme_keys() == {key: set(commands) for key, (_, _, commands) in _SCHEMA.items()}

@@ -237,11 +237,11 @@ def _blocked_plan():
     first = (DriveTerm(0, "0", "ra", square_pulse(TWO_PI * 4.0, 0.0, t1), family="omega1"),)
     second = (
         DriveTerm(0, "0", "ra", gaussian_pulse(TWO_PI * 9.0, 0.0, t2), family="omega1"),
-        DriveTerm(0, "ra", "rb", square_pulse(TWO_PI * 6.0, 0.0, t2), detuning=TWO_PI * 1.5, family="omega2"),
+        DriveTerm(0, "ra", "rb", square_pulse(TWO_PI * 6.0, 0.0, t2), family="omega2"),
         DriveTerm(0, "1", "rc", square_pulse(TWO_PI * 5.0, 0.0, t2), family="omega2"),
     )
     stages = (Stage(t1, HamiltonianSpec(basis, first, frame_detunings=frame)),
-              Stage(t2, HamiltonianSpec(basis, second, frame_detunings=frame)))
+              Stage(t2, HamiltonianSpec(basis, second, frame_detunings=frame + ((0, "rb", TWO_PI * 1.5),))))
     rng = np.random.default_rng(3)
     track = 1.0 + 0.3 * rng.standard_normal(110)
     noise = NoiseRealization(intensity_factors={"omega2": track}, update_interval=0.01)
@@ -365,9 +365,9 @@ def _constant_stage_plan():
     """
     atom1 = LevelScheme(("0", "1", "ra", "rb", "rc"), (False, False, True, True, True), (0.0, 0.0, 0.5, 2.0, 0.0))
     basis = build_basis([qubit_scheme(("r",), 1.0), atom1])
-    frame = ((0, "1", TWO_PI * 3.0), (1, "1", TWO_PI * 2.0), (1, "rb", TWO_PI * 5.0))
+    frame = ((0, "1", TWO_PI * 3.0), (1, "1", TWO_PI * 2.0), (1, "rb", TWO_PI * 5.0), (0, "r", TWO_PI * 1.5))
     drives = (DriveTerm(0, "0", "1", square_pulse(TWO_PI * 4.0, 0.0, 0.6), family="omega1"),
-              DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0, 0.0, 0.6), detuning=TWO_PI * 1.5, family="omega2"))
+              DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0, 0.0, 0.6), family="omega2"))
     return StagePlan((Stage(0.6, HamiltonianSpec(basis, drives, frame_detunings=frame)),), StepPolicy(square_resolution=37))
 
 
@@ -443,6 +443,20 @@ def test_interpolated_gate_matches_per_step_path(name, monkeypatch):
     assert np.max(np.abs(run_gate(proto, noise).u_gate - u)) < 1e-9
 
 
+def test_stage_steps_are_exact_for_a_stage_spanning_pulse():
+    # 4 * resolution steps for a Gaussian whose window is its stage, and
+    # square_resolution for a square stage, at every duration of a fine grid:
+    # dividing by the step instead rounds some of them up by one
+    basis = build_basis([qubit_scheme()])
+    policy = StepPolicy()
+    counts = set()
+    for t in np.linspace(2.0, 10.0, 20001):
+        gauss = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", gaussian_pulse(1.0, 0.0, t)),)))
+        square = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", square_pulse(1.0, 0.0, t)),)))
+        counts.add((_stage_steps(gauss, policy), _stage_steps(square, policy)))
+    assert counts == {(4 * policy.gaussian_resolution, policy.square_resolution)}
+
+
 def test_three_independent_drives_take_the_steps_as_nodes():
     # three Gaussians on different windows span three axes; their tensor
     # grid would outnumber the steps, so every step is exponentiated
@@ -452,6 +466,7 @@ def test_three_independent_drives_take_the_steps_as_nodes():
               DriveTerm(0, "r", "s", gaussian_pulse(TWO_PI * 200.0, 0.3, 0.7), family="c"))
     spec = HamiltonianSpec(basis, drives, frame_detunings=((0, "1", TWO_PI * 40.0),))
     plan = StagePlan((Stage(1.0, spec),), StepPolicy(gaussian_resolution=20))
+    assert _stage_steps(plan.stages[0], plan.policy) == 115  # ceil(4 * 20 * 1.0 / 0.7), the narrowest window
     ((counts, _, interp),) = _step_exponentials(plan, None, 0)
     assert len(counts) == 3 and interp is None
     assert math.prod(counts) >= _stage_steps(plan.stages[0], plan.policy)

@@ -192,11 +192,6 @@ class TestRunGate:
         for j in range(4):  # control-|0> inputs
             assert rep.per_input_loss[j] == pytest.approx(analytic, rel=0.20)
 
-    def test_loss_matrix_positions(self, swap_report):
-        proto, rep = swap_report
-        assert rep.loss_matrix[2, 1] == rep.per_input_loss[1]
-        assert rep.loss_matrix[1, 1] == 0.0
-
     def test_rydberg_exposure_control_parking(self):
         # with target drives off, a control-|0> input parks in the Rydberg
         # state for the whole target stage plus the two half pulses

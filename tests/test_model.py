@@ -306,18 +306,22 @@ def test_block_structure_shared_across_energies():
 
 
 def _random_spec(rng):
-    """A few atoms with 1-2 decaying Rydberg levels, random drives, interactions and collective pairs."""
+    """A few atoms with 1-2 decaying Rydberg levels, random drives, interactions and collective pairs.
+
+    Frame energies sit on random levels and on every drive's upper level.
+    """
     n = int(rng.integers(1, 5))
     schemes = []
     for _ in range(n):
         k = int(rng.integers(1, 3))
         schemes.append(LevelScheme(("0", "1") + tuple(f"r{i}" for i in range(k)), (False, False) + (True,) * k,
                                    (0.0, 0.0) + tuple(rng.uniform(0.0, 0.01, k))))
-    drives = []
+    drives, upper_shifts = [], []
     for _ in range(int(rng.integers(0, 5))):
         a = int(rng.integers(n))
         lo, up = rng.choice(schemes[a].labels, 2, replace=False)
-        drives.append(DriveTerm(a, str(lo), str(up), square_pulse(1.0, 0.0, 1.0), detuning=float(rng.normal()),
+        upper_shifts.append((a, str(up), float(rng.normal())))
+        drives.append(DriveTerm(a, str(lo), str(up), square_pulse(1.0, 0.0, 1.0),
                                 doppler_sensitive=bool(rng.integers(2))))
     interactions, pairs = {}, []
     for i in range(n):
@@ -327,7 +331,7 @@ def _random_spec(rng):
                 interactions[(i, str(ri), j, str(rj))] = float(rng.choice([0.0, 1.0, 2.0]))
             if rng.random() < 0.3:
                 pairs.append((i, j))
-    frame = tuple((a, str(rng.choice(schemes[a].labels)), float(rng.normal())) for a in range(n))
+    frame = tuple((a, str(rng.choice(schemes[a].labels)), float(rng.normal())) for a in range(n)) + tuple(upper_shifts)
     return HamiltonianSpec(build_basis(schemes), tuple(drives), InteractionGraph.from_dict(interactions), frame,
                            tuple(pairs))
 
