@@ -173,9 +173,14 @@ def calibrate_swap_time(
     |<out|U(T)|in>| on [bracket[0]*t_seed, bracket[1]*t_seed] by ``crest``
     over a 41-point grid (the amplitude carries dressing-phase ripples that
     defeat a bare unimodal search), and raises ValueError when the best grid
-    point is an end of the bracket; with a target (e.g. 1/sqrt(2) for the
-    half rotation) it finds the first crossing on the rising branch by
-    ``brentq``.
+    point is an end of the bracket.  With a target (e.g. 1/sqrt(2) for the
+    half rotation) it returns a crossing of the target by ``brentq`` on the
+    bracket, first moving the bracket start to 0.2*t_seed if the amplitude
+    there is already at or above the target.  The ripples make the amplitude
+    cross the target several times per nanosecond near the half rotation (12
+    sign changes between 2.320 and 2.326 us at the sqrt_iSWAP point), so the
+    crossing returned is whichever one brentq's bracket path meets, not
+    necessarily the first.
     """
     if t_seed <= 0:
         raise ValueError("seed must be positive")

@@ -17,6 +17,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, asdict, fields
 from importlib import resources
@@ -30,6 +31,7 @@ from .dynamics import propagate
 from .gates import (
     GateParams,
     VARIANTS,
+    _member,
     calibrate_duration,
     make_protocol,
     run_gate,
@@ -108,8 +110,6 @@ _SCHEMA = {
     "gate.vtt_mhz": ("v_tt", _number(TWO_PI), _GATE),
     "gate.vct_ghz": ("v_ct", _number(TWO_PI * 1000.0), _GATE),
     "gate.vct_radus": ("v_ct", _number(), _GATE),
-    "gate.vcc_radus": ("v_cc", _number(), _GATE),
-    "gate.omega_c_mhz": ("omega_c", _number(TWO_PI), _GATE),
     "gate.lifetime_us": ("lifetime", _lifetime, _GATE),
     "gate.n_controls": ("n_controls", _integer, _GATE),
     "noise.temp_uk": ("doppler.temperature_K", _number(per=1e6), ("noise",)),
@@ -119,12 +119,10 @@ _SCHEMA = {
     "noise.counter_propagating": ("doppler.counter_propagating", _boolean, ("noise",)),
     "noise.di_i_omega1": ("widths.omega1", _number(), ("noise",)),
     "noise.di_i_omega2": ("widths.omega2", _number(), ("noise",)),
-    "noise.update_interval_us": ("intensity.update_interval", _number(), ("noise",)),
     "noise.n_shots": ("noise.n_shots", _integer, ("noise",)),
     "scan.parameter": ("parameter", str, ("scan",)),
     "scan.values_mhz": ("values", _numbers(TWO_PI), ("scan",)),
     "scan.values": ("values", _numbers(), ("scan",)),
-    "scan.metric": ("metric", str, ("scan",)),
 }
 
 
@@ -165,18 +163,26 @@ def _read(cp: configparser.ConfigParser, section: str) -> dict:
     return values
 
 
+def _keys(section: str, name: str) -> str:
+    """The keys of section that fill field name, joined by 'or'."""
+    return " or ".join(k.split(".")[1] for k, (field, _, _) in _SCHEMA.items()
+                       if k.startswith(f"{section}.") and field.split(".")[-1] == name)
+
+
 def _build(cls, section: str, given: dict, **fixed):
-    """cls(**given, **fixed); a required field no key filled, or a value cls rejects, is a ConfigError."""
+    """cls(**given, **fixed); a required field no key filled, or a value cls rejects, is a ConfigError.
+
+    A rejection names the keys of the given fields its message names.
+    """
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
                and f.name not in given and f.name not in fixed]
     if missing:
-        keys = [" or ".join(k.split(".")[1] for k, (field, _, _) in _SCHEMA.items()
-                            if k.startswith(f"{section}.") and field.split(".")[-1] == name) for name in missing]
-        raise ConfigError(f"[{section}] needs {', '.join(keys)}")
+        raise ConfigError(f"[{section}] needs {', '.join(_keys(section, name) for name in missing)}")
     try:
         return cls(**given, **fixed)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
+        named = [_keys(section, name) for name in given if re.search(rf"\b{name}\b", str(exc))]
+        raise ConfigError(f"[{section}] {exc}" + (f" (set by {', '.join(named)})" if named else "")) from None
 
 
 def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
@@ -184,21 +190,23 @@ def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
     variant = given.pop("variant", "SWAP")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown gate variant {variant!r}")
-    return variant, _build(GateParams, "gate", given)
+    params = _build(GateParams, "gate", given)
+    try:
+        _member(variant, params.n_controls)  # the number of controls the variant takes
+    except ValueError as exc:
+        raise ConfigError(f"[gate] {exc}") from None
+    return variant, params
 
 
 def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
     if not cp.has_section("noise"):
         raise ConfigError("noise scenario needs a [noise] section")
-    parts = {"doppler": {}, "widths": {}, "intensity": {}, "noise": {}}
+    parts = {"doppler": {}, "widths": {}, "noise": {}}
     for field, value in _read(cp, "noise").items():
         part, name = field.split(".")
         parts[part][name] = value
-    if parts["intensity"] and not parts["widths"]:
-        raise ConfigError("[noise] update_interval_us needs a di_i_* width")
     doppler = _build(DopplerSpec, "noise", parts["doppler"]) if parts["doppler"] else None
-    intensity = (_build(IntensitySpec, "noise", parts["intensity"], relative_widths=parts["widths"])
-                 if parts["widths"] else None)
+    intensity = _build(IntensitySpec, "noise", {}, relative_widths=parts["widths"]) if parts["widths"] else None
     return _build(NoiseSpec, "noise", parts["noise"], doppler=doppler, intensity=intensity, seed=seed)
 
 
@@ -299,7 +307,7 @@ def cmd_scan(args, cp, variant, params):
     text = _csv(
         ["value", "metric", "fidelity", "mean_loss", "t_bar_r_us", "error"],
         [[r.value, r.metric, r.fidelity, r.mean_loss, r.t_bar_r, r.error] for r in rows],
-        [_params_line(variant, params), f"parameter: {spec.parameter}  metric: {spec.metric}"],
+        [_params_line(variant, params), f"parameter: {spec.parameter}  metric: rotation_fidelity"],
     )
     return {"scan.csv": text}, f"scan of {spec.parameter}: {len(rows)} points -> {Path(args.out) / 'scan.csv'}"
 

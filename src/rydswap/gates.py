@@ -93,11 +93,13 @@ VARIANTS = tuple(_CATALOG)
 class GateParams:
     """Physical knobs of a gate protocol, angular frequencies in rad/us.
 
-    v_cc defaults to |v_ct| (close-packed multi-control geometry); the
-    interaction_overrides mapping replaces individual graph entries, keyed
-    (atom_i, level_i, atom_j, level_j) -> shift, for user-supplied
-    anisotropic couplings.  n_controls is Ck_SWAP's k (at least 1); every
-    other variant takes only 1.
+    Controls interact with each other through |v_ct| (close-packed
+    multi-control geometry); the interaction_overrides mapping replaces
+    individual graph entries, keyed (atom_i, level_i, atom_j, level_j) ->
+    shift, for user-supplied anisotropic couplings.  n_controls is Ck_SWAP's
+    k (at least 1); every other variant takes only 1.  lifetime None means
+    no decay.  v_tt shifts only doubly-excited target pairs, which the
+    collective model projects out, so that model takes only the default.
     """
 
     omega1_max: float
@@ -106,8 +108,6 @@ class GateParams:
     duration: float
     v_tt: float = TWO_PI * 700.0
     v_ct: float = 0.0
-    v_cc: float | None = None
-    omega_c: float = TWO_PI * 10.0
     lifetime: float | None = 400.0
     n_controls: int = 1
     interaction_overrides: dict | None = None
@@ -118,10 +118,21 @@ class GateParams:
             raise ValueError(f"model must be 'collective' or 'full', got {self.model!r}")
         if not isinstance(self.n_controls, numbers.Integral):
             raise ValueError(f"n_controls must be an integer, got {self.n_controls!r}")
+        if not self.duration > 0:
+            raise ValueError(f"duration must be positive, got {self.duration!r}")
+        if self.lifetime is not None and not self.lifetime > 0:
+            raise ValueError(f"lifetime must be positive (None for no decay), got {self.lifetime!r}")
+        if self.model == "collective" and self.v_tt != GateParams.v_tt:
+            raise ValueError("v_tt acts only in the full model; the collective model takes only 2pi x 700 MHz")
+
+    @property
+    def omega_c(self) -> float:
+        """Rabi frequency of the control pi pulses."""
+        return TWO_PI * 10.0
 
     @property
     def decay_rate(self) -> float:
-        return 0.0 if not self.lifetime else 1.0 / self.lifetime
+        return 0.0 if self.lifetime is None else 1.0 / self.lifetime
 
     @property
     def control_pi_time(self) -> float:
@@ -248,11 +259,10 @@ def _interaction_graph(member: _Member, params: GateParams, n_controls: int) -> 
             for t in range(member.n_targets):
                 if level and t not in (route or ()):
                     entries[(c, level, t0 + t, "r")] = params.v_ct
-    v_cc = abs(params.v_ct) if params.v_cc is None else params.v_cc
     for c1 in range(n_controls):
         for c2 in range(c1 + 1, n_controls):
             for level in filter(None, member.levels):
-                entries[(c1, level, c2, level)] = v_cc
+                entries[(c1, level, c2, level)] = abs(params.v_ct)
     if params.interaction_overrides:
         entries.update(params.interaction_overrides)
     return InteractionGraph.from_dict(entries)
@@ -415,30 +425,18 @@ def _adjust_diagonal(protocol: GateProtocol) -> np.ndarray:
     return diag
 
 
-def _frame_removal_diagonal(protocol: GateProtocol) -> np.ndarray:
-    """exp(+i E_frame T_total) per computational state."""
-    basis = protocol.basis
-    comp = list(basis.comp_indices)
-    energies = np.zeros(len(comp))
-    for atom, label, energy in protocol.plan.stages[0].spec.frame_detunings:
-        energies[basis.occupation_mask(atom, label)[comp]] += energy
-    return np.exp(1j * energies * protocol.total_duration)
-
-
 def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> GateReport:
     """Propagate every computational input and assemble the gate report."""
-    basis = protocol.basis
-    comp = list(basis.comp_indices)
-    n = len(comp)
-    columns = np.zeros((basis.dim, n), dtype=complex)
-    for j, idx in enumerate(comp):
-        columns[idx, j] = 1.0
-
+    comp = list(protocol.basis.comp_indices)
+    # C order: the loss sums round by memory layout, and [:, comp] is F order
+    columns = np.ascontiguousarray(np.eye(protocol.basis.dim, dtype=complex)[:, comp])
     res = propagate_matrix(protocol.plan, columns, noise)
     loss, t_ryd = res.norm_loss, res.time_integrated_rydberg
 
-    u = res.final_state[comp, :]
-    u = _frame_removal_diagonal(protocol)[:, None] * u
+    # Interactions shift only Rydberg levels, so on the computational states
+    # the static diagonal is the frame energies: remove exp(-i E_frame T).
+    frame = np.exp(1j * protocol.plan.stages[0].spec.static_diagonal()[comp] * protocol.total_duration)
+    u = frame[:, None] * res.final_state[comp, :]
     # Accumulated-phase sign convention (resolved against the tabulated
     # exchange phase): report the conjugate of the propagator elements.
     u = np.conj(u)

@@ -23,6 +23,7 @@ import numpy as np
 from .basis import ProductBasis
 
 TWO_PI = 2.0 * math.pi
+INTENSITY_INTERVAL = 0.01  # us between laser-intensity noise resamples
 
 
 @dataclass(frozen=True)
@@ -140,20 +141,19 @@ class NoiseRealization:
     doppler_shifts: static per-atom detuning (rad/us) added to the upper
     level of every Doppler-sensitive drive for the whole shot.
     intensity_factors: per drive family, a piecewise-constant multiplicative
-    factor resampled every update_interval; factor k applies on
-    [k*dt_u, (k+1)*dt_u).
+    factor resampled every INTENSITY_INTERVAL; factor k applies on
+    [k*INTENSITY_INTERVAL, (k+1)*INTENSITY_INTERVAL).
     """
 
     doppler_shifts: tuple[float, ...] = ()
     intensity_factors: dict = field(default_factory=dict)
-    update_interval: float = 0.01
 
     def intensity_at(self, family: str, t):
         """Intensity factor of a family at time t (us, a float or an array)."""
         factors = self.intensity_factors.get(family)
         if factors is None:
             return 1.0
-        k = np.clip(np.asarray(t) / self.update_interval, 0, len(factors) - 1).astype(int)
+        k = np.clip(np.asarray(t) / INTENSITY_INTERVAL, 0, len(factors) - 1).astype(int)
         return np.asarray(factors)[k]
 
 

@@ -4,8 +4,9 @@ Thermal motion gives each atom a static Doppler shift per shot, sampled
 Gaussian with sigma = k_eff * v_rms and applied to the optical Rydberg
 drives only (the microwave wavevector is negligible).  Intensity drift
 multiplies each drive family's Rabi frequency by an independent Gaussian
-factor resampled every update interval.  Shots draw from counter-based
-Philox streams keyed (seed, shot), so parallel execution is reproducible.
+factor resampled every 10 ns (model.INTENSITY_INTERVAL).  Shots draw from
+counter-based Philox streams keyed (seed, shot), so parallel execution is
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import GateProtocol, GateReport, run_gate
-from .model import NoiseRealization
+from .model import INTENSITY_INTERVAL, NoiseRealization
 
 KB = 1.380649e-23  # J/K
 
@@ -43,17 +44,14 @@ class DopplerSpec:
 
 @dataclass(frozen=True)
 class IntensitySpec:
-    """Relative Gaussian widths per drive family and the resample interval."""
+    """Relative Gaussian widths per drive family."""
 
     relative_widths: dict = field(default_factory=dict)  # family -> dI/I
-    update_interval: float = 0.01  # us
 
     def __post_init__(self):
         for fam, w in self.relative_widths.items():
             if w < 0:
                 raise ValueError(f"negative intensity width for {fam!r}")
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,14 @@ def sample_realization(
 
     if spec.intensity is None:
         return NoiseRealization(doppler_shifts=shifts)
-    interval = spec.intensity.update_interval
-    n_intervals = max(1, math.ceil(duration / interval))
+    n_intervals = max(1, math.ceil(duration / INTENSITY_INTERVAL))
     factors = {}
     for family, width in sorted(spec.intensity.relative_widths.items()):
         if width == 0.0:
             continue
         xi = rng.normal(0.0, width, size=n_intervals)
         factors[family] = np.clip(1.0 + xi, 0.0, 1.0 + 5.0 * width)
-    return NoiseRealization(doppler_shifts=shifts, intensity_factors=factors, update_interval=interval)
+    return NoiseRealization(doppler_shifts=shifts, intensity_factors=factors)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""One-parameter scans of a gate metric."""
+"""One-parameter scans of a gate's rotation fidelity."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields, replace
 
 from .gates import GateParams, make_protocol, rotation_fidelity, run_gate
 
-METRICS = ("fidelity", "rotation_fidelity", "infidelity_with_loss")
 _INT_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type == "int")
 _NUMERIC_FIELDS = frozenset(f.name for f in fields(GateParams) if f.type.removesuffix(" | None") in ("float", "int"))
 
@@ -25,23 +24,20 @@ def _with_value(base: GateParams, name: str, v: float) -> GateParams:
 class ScanSpec:
     """One-parameter grid scan of a gate variant.
 
-    parameter is a numeric GateParams field name; the metric is evaluated by
-    a full gate run per grid value.
+    parameter is a numeric GateParams field name; the rotation fidelity is
+    evaluated by a full gate run per grid value.
     """
 
     variant: str
     base: GateParams
     parameter: str
     values: tuple[float, ...]
-    metric: str = "rotation_fidelity"
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty scan grid")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("scan grid contains non-finite values")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
         if self.parameter not in _NUMERIC_FIELDS:
             raise ValueError(f"unknown parameter {self.parameter!r}")
 
@@ -49,37 +45,25 @@ class ScanSpec:
 @dataclass
 class ScanRow:
     value: float
-    metric: float
+    metric: float  # rotation fidelity
     fidelity: float
     mean_loss: float
     t_bar_r: float
     error: str = ""
 
 
-def evaluate_metric(variant: str, params: GateParams, metric: str) -> tuple[float, "object"]:
-    proto = make_protocol(variant, params)
-    report = run_gate(proto)
-    if metric == "fidelity":
-        val = report.fidelity
-    elif metric == "rotation_fidelity":
-        val = rotation_fidelity(report.rotation_matrix, proto.ideal)
-    else:  # infidelity_with_loss
-        val = 1.0 - report.fidelity_with_loss
-    return float(val), report
-
-
 def scan(spec: ScanSpec) -> list[ScanRow]:
-    """Evaluate the metric over the grid; per-point failures are recorded
-    and the scan continues."""
+    """Evaluate the rotation fidelity (the metric column) over the grid;
+    per-point failures are recorded and the scan continues."""
     rows = []
     for v in spec.values:
         try:
-            params = _with_value(spec.base, spec.parameter, v)
-            val, report = evaluate_metric(spec.variant, params, spec.metric)
+            proto = make_protocol(spec.variant, _with_value(spec.base, spec.parameter, v))
+            report = run_gate(proto)
             rows.append(
                 ScanRow(
                     value=float(v),
-                    metric=val,
+                    metric=rotation_fidelity(report.rotation_matrix, proto.ideal),
                     fidelity=report.fidelity,
                     mean_loss=report.mean_loss,
                     t_bar_r=report.t_bar_r,

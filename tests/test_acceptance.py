@@ -491,7 +491,7 @@ def test_criterion_9_interaction_scan_regimes():
     infid = {}
     for name, ratios in grid.items():
         values = tuple(r * pc.omega2 if r != 0 else 1e-9 for r in ratios)
-        rows = scan(ScanSpec("C_SWAP_CCSdag", pc, "v_ct", values, metric="rotation_fidelity"))
+        rows = scan(ScanSpec("C_SWAP_CCSdag", pc, "v_ct", values))
         infid[name] = [1.0 - r.metric for r in rows]
     plateau_max = max(infid["plateau"])
     weak_peak = max(infid["weak"])

@@ -4,10 +4,11 @@ import re
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rydswap.cli import _SCHEMA, _gate_params, _noise_spec, _parse_config, main, preset_path
-from rydswap.gates import table_params
+from rydswap.cli import _SCHEMA, ConfigError, _gate_params, _noise_spec, _parse_config, main, preset_path
+from rydswap.gates import make_protocol, run_gate, table_params
 from rydswap.noise import DopplerSpec, NoiseSpec
 from rydswap.tables import CellDiff
 
@@ -236,13 +237,6 @@ def test_doppler_key_without_temperature_rejected(tmp_path, capsys, override):
     assert "temp_uk" in capsys.readouterr().err
 
 
-def test_update_interval_without_width_rejected(tmp_path, capsys):
-    rc = run_cli(["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1",
-                  "--set", "noise.update_interval_us=0.02", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "update_interval_us" in capsys.readouterr().err
-
-
 def test_scan_without_parameter_rejected(tmp_path, capsys):
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("[gate]\nvariant = SWAP\nomega1_max_mhz = 33.5\nomega2_mhz = 190.8\ndelta_mhz = 999.73\n"
@@ -260,11 +254,47 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
     ("scan", "fig4c_vscan", "scan.parameter=bogus", "parameter"),
     ("gate", "table1_swap", "gate.sigma_ratio=0.3", "sigma_ratio"),
     ("scan", "fig4c_vscan", "scan.parameter=sigma_ratio", "sigma_ratio"),
+    ("gate", "table1_swap", "gate.lifetime_us=0", "lifetime_us"),
+    ("gate", "table1_swap", "gate.lifetime_us=-5", "lifetime_us"),
+    ("gate", "table1_swap", "gate.t_us=0", "t_us"),
+    ("gate", "table1_swap", "gate.t_us=-1", "t_us"),
+    ("gate", "table1_cswap", "gate.vtt_mhz=5", "vtt_mhz"),
+    ("gate", "table1_cswap", "gate.n_controls=2", "n_controls"),
+    # fixed values, each set to the value it is fixed at
+    ("gate", "table1_cswap", "gate.vcc_radus=22140", "vcc_radus"),
+    ("gate", "table1_cswap", "gate.omega_c_mhz=10", "omega_c_mhz"),
+    ("scan", "fig4c_vscan", "scan.metric=rotation_fidelity", "metric"),
+    ("noise", "fig3bc_intensity", "noise.update_interval_us=0.01", "update_interval_us"),
 ])
 def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, command, preset, override, key):
     rc = run_cli([command, "--preset", preset] + _SMALL[command] + ["--set", override, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+# a perturbed value of every [gate] key but variant, against table1_cswap
+_GATE_PERTURBED = {
+    "gate.model": "full", "gate.omega1_max_mhz": "34", "gate.omega2_mhz": "90", "gate.delta_mhz": "1001",
+    "gate.t_us": "4.7", "gate.vtt_mhz": "5", "gate.vct_ghz": "3.5", "gate.vct_radus": "22000",
+    "gate.lifetime_us": "100", "gate.n_controls": "2",
+}
+
+
+def test_every_gate_key_is_honoured_or_rejected():
+    assert set(_GATE_PERTURBED) == {k for k in _SCHEMA if k.startswith("gate.")} - {"gate.variant"}
+
+    def u_gate(overrides):
+        with resources.as_file(preset_path("table1_cswap")) as path:
+            variant, params = _gate_params(_parse_config(path, overrides))
+        return run_gate(make_protocol(variant, params)).u_gate
+
+    base = u_gate([])
+    for key, value in _GATE_PERTURBED.items():
+        try:
+            u = u_gate([f"{key}={value}"])
+        except ConfigError:
+            continue
+        assert not np.array_equal(u, base), f"{key}={value} is accepted but not honoured"
 
 
 def test_scan_of_a_non_numeric_parameter_rejected(tmp_path, capsys):

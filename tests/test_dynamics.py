@@ -244,7 +244,7 @@ def _blocked_plan():
               Stage(t2, HamiltonianSpec(basis, second, frame_detunings=frame + ((0, "rb", TWO_PI * 1.5),))))
     rng = np.random.default_rng(3)
     track = 1.0 + 0.3 * rng.standard_normal(110)
-    noise = NoiseRealization(intensity_factors={"omega2": track}, update_interval=0.01)
+    noise = NoiseRealization(intensity_factors={"omega2": track})
     return StagePlan(stages, StepPolicy(gaussian_resolution=200, square_resolution=20)), noise
 
 
@@ -282,8 +282,7 @@ def test_block_kernel_matches_dense_per_step_oracle():
     # intervals in, so delaying the track by 13 intervals (what a reading
     # at stage time would see) changes the result
     track = noise.intensity_factors["omega2"]
-    delayed = NoiseRealization(intensity_factors={"omega2": np.concatenate([track[:13], track])},
-                               update_interval=0.01)
+    delayed = NoiseRealization(intensity_factors={"omega2": np.concatenate([track[:13], track])})
     assert np.max(np.abs(propagate(plan, psi0, delayed).final_state - psi)) > 1e-4
 
 

@@ -149,7 +149,7 @@ class TestProtocolConstruction:
          [(0, "r", 1, "r", "ct"), (0, "r", 2, "r", "ct"), (1, "r", 2, "r", "tt")], ()),
     ])
     def test_catalog_blockade_graph_and_pulses(self, variant, k, model, pulses, entries, pairs):
-        # v_ct < 0 so that the default v_cc = |v_ct| is told apart from v_ct
+        # v_ct < 0 so that the control-control shift |v_ct| is told apart from v_ct
         params = replace(table_params("C_SWAP_CCSdag"), v_ct=-3000.0, n_controls=k, model=model)
         shift = {"tt": params.v_tt, "ct": -3000.0, "cc": 3000.0}
         proto = make_protocol(variant, params)

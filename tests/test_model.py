@@ -218,7 +218,6 @@ def test_noise_realization_enters_hamiltonian():
     real = NoiseRealization(
         doppler_shifts=(TWO_PI * 0.1,),
         intensity_factors={"omega2": np.array([0.5])},
-        update_interval=10.0,
     )
     h = HamiltonianEvaluator(spec, real)(0.5)
     i1, ir = basis.index_of(("1",)), basis.index_of(("r",))

@@ -77,18 +77,22 @@ class TestSampleRealization:
         assert np.std(draws) == pytest.approx(sigma, rel=0.03)
 
     def test_intensity_clipping_and_interval_count(self):
-        spec = NoiseSpec(intensity=IntensitySpec({"omega2": 0.5}, update_interval=0.1), seed=1)
-        r = sample_realization(spec, 1, 1.05, shot_rng(1, 0))
+        # one factor per started 10 ns interval
+        spec = NoiseSpec(intensity=IntensitySpec({"omega2": 0.5}), seed=1)
+        r = sample_realization(spec, 1, 0.105, shot_rng(1, 0))
         factors = r.intensity_factors["omega2"]
         assert len(factors) == 11
         assert np.all(factors >= 0.0)
         assert np.all(factors <= 1.0 + 5 * 0.5)
 
     def test_intensity_lookup_is_piecewise(self):
-        spec = NoiseSpec(intensity=IntensitySpec({"omega2": 0.2}, update_interval=0.5), seed=2)
-        r = sample_realization(spec, 1, 2.0, shot_rng(2, 0))
-        assert r.intensity_at("omega2", 0.1) == r.intensity_at("omega2", 0.49)
-        assert r.intensity_at("omega1", 0.1) == 1.0
+        spec = NoiseSpec(intensity=IntensitySpec({"omega2": 0.2}), seed=2)
+        r = sample_realization(spec, 1, 0.04, shot_rng(2, 0))
+        factors = r.intensity_factors["omega2"]
+        assert r.intensity_at("omega2", 0.011) == r.intensity_at("omega2", 0.019) == factors[1]
+        assert r.intensity_at("omega2", 0.021) == factors[2] != factors[1]
+        assert np.array_equal(r.intensity_at("omega2", np.array([0.0, 0.039, 0.5])), factors[[0, 3, 3]])
+        assert r.intensity_at("omega1", 0.011) == 1.0
 
 
 @pytest.fixture(scope="module")
