@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import StagePlan, propagate
 
@@ -180,7 +179,8 @@ def calibrate_swap_time(
     cross the target several times per nanosecond near the half rotation (12
     sign changes between 2.320 and 2.326 us at the sqrt_iSWAP point), so the
     crossing returned is whichever one brentq's bracket path meets, not
-    necessarily the first.
+    necessarily the first.  Only this mode imports brentq (scipy.optimize),
+    on its first call.
     """
     if t_seed <= 0:
         raise ValueError("seed must be positive")
@@ -201,6 +201,8 @@ def calibrate_swap_time(
         f_hi = amplitude(hi)
         if f_hi < transfer_target:
             raise ValueError("transfer target not reached inside the bracket")
+        from scipy.optimize import brentq
+
         return float(brentq(lambda t: amplitude(t) - transfer_target, lo, hi, xtol=xtol))
 
     return crest(amplitude, np.linspace(lo, hi, 41), xtol)

@@ -30,6 +30,7 @@ from .analytic import calibrate_swap_time, swap_time_estimate
 from .dynamics import propagate
 from .gates import (
     GateParams,
+    GateProtocol,
     VARIANTS,
     _member,
     calibrate_duration,
@@ -181,8 +182,13 @@ def _build(cls, section: str, given: dict, **fixed):
     try:
         return cls(**given, **fixed)
     except ValueError as exc:
-        named = [_keys(section, name) for name in given if re.search(rf"\b{name}\b", str(exc))]
-        raise ConfigError(f"[{section}] {exc}" + (f" (set by {', '.join(named)})" if named else "")) from None
+        raise _rejected(section, exc, given) from None
+
+
+def _rejected(section: str, exc: ValueError, names) -> ConfigError:
+    """exc as a ConfigError that names the keys of those fields in names its message names."""
+    named = [_keys(section, name) for name in names if re.search(rf"\b{name}\b", str(exc))]
+    return ConfigError(f"[{section}] {exc}" + (f" (set by {', '.join(named)})" if named else ""))
 
 
 def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
@@ -196,6 +202,18 @@ def _gate_params(cp: configparser.ConfigParser) -> tuple[str, GateParams]:
     except ValueError as exc:
         raise ConfigError(f"[gate] {exc}") from None
     return variant, params
+
+
+def _protocol(variant: str, params: GateParams) -> GateProtocol:
+    """make_protocol(variant, params); a gate it rejects is a ConfigError naming the [gate] keys.
+
+    Not checked in _gate_params, because a scan sets its parameter per point
+    and its [gate] may leave that parameter (v_ct) out.
+    """
+    try:
+        return make_protocol(variant, params)
+    except ValueError as exc:
+        raise _rejected("gate", exc, [f.name for f in fields(GateParams)]) from None
 
 
 def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
@@ -249,7 +267,7 @@ def preset_path(name: str):
 # files to write into --out, by name, and the line to print.
 
 def cmd_gate(args, cp, variant, params):
-    report = run_gate(make_protocol(variant, params))
+    report = run_gate(_protocol(variant, params))
     n = report.u_gate.shape[0]
     labels = [format(i, f"0{int(math.log2(n))}b") for i in range(n)]
     preamble = [_params_line(variant, params)]
@@ -281,6 +299,8 @@ def cmd_gate(args, cp, variant, params):
 
 
 def cmd_calibrate(args, cp, variant, params):
+    if args.fidelity_objective:
+        _protocol(variant, params)  # the gate calibrate_duration runs
     t_est, t_half = swap_time_estimate(params.omega1_max, params.delta)
     plan_factory = lambda t: two_target_plan(params, t)
     basis = plan_factory(1.0).stages[0].spec.basis
@@ -315,7 +335,7 @@ def cmd_scan(args, cp, variant, params):
 def cmd_noise(args, cp, variant, params):
     seed = args.seed if args.seed is not None else _read(cp, "scenario").get("seed", 0)
     spec = _noise_spec(cp, seed)
-    protocol = make_protocol(variant, params)
+    protocol = _protocol(variant, params)
     result = monte_carlo_fidelity(protocol, spec, jobs=args.jobs)
     rows = []
     for i, f in enumerate(result.fidelities):
@@ -344,7 +364,7 @@ def cmd_noise(args, cp, variant, params):
 
 
 def cmd_trajectory(args, cp, variant, params):
-    protocol = make_protocol(variant, params)
+    protocol = _protocol(variant, params)
     basis = protocol.basis
     psi0 = np.zeros(basis.dim, dtype=complex)
     psi0[basis.comp_indices[1 if basis.n_atoms > 1 else 0]] = 1.0

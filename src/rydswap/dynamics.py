@@ -25,8 +25,9 @@ themselves.  The interpolant is checked against a direct exponential at
 the step of largest Lebesgue sum.  Each step applies the factors to their
 axes of the block states, X <- phase A X B^T for two clusters.
 ``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
-scipy explicit Runge-Kutta propagation and the dense ``evolve_step`` are
-kept alongside as independent cross-checks.
+scipy explicit Runge-Kutta propagation (``propagate_rk``, which imports
+``solve_ivp`` on its first call) and the dense ``evolve_step`` are kept
+alongside as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization, envelope_value
@@ -409,6 +409,8 @@ def propagate_rk(
     envelope) y, and a call computes only the envelope values.  Used to
     validate the stepper on small systems.  Returns the final state only.
     """
+    from scipy.integrate import solve_ivp
+
     psi = np.asarray(psi0, dtype=complex)
     for stage in plan.stages:
         diag = -1j * HamiltonianEvaluator(stage.spec, None).diagonal

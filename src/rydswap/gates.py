@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analytic import crest, wrap_phase
 from .basis import ProductBasis, build_basis, qubit_scheme
@@ -494,6 +493,8 @@ def phase_optimized_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray, n_qubits: 
     Used where the tabulated phase convention is ambiguous (the half-angle
     exchange variant carries no printed adjustment).
     """
+    from scipy.optimize import minimize
+
     bit_table = _bit_table(n_qubits)
 
     def neg_fid(phis):

@@ -6,7 +6,10 @@ ones kept for that reason.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +66,25 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert uncalled - set(ORACLES) == set()
     # a listed name that gains a caller, or is deleted, leaves the list
     assert set(ORACLES) - uncalled == set()
+
+
+# A fresh import loads numpy and scipy.linalg only; the optimizer and the ODE
+# solver load on the first call that needs them.
+_COLD_START = """
+import sys
+import numpy as np
+import rydswap, rydswap.analytic, rydswap.gates, rydswap.noise, rydswap.tables, rydswap.sweep, rydswap.cli
+import scipy.linalg
+import rydswap.dynamics
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded on import"
+assert "scipy.integrate" not in sys.modules, "scipy.integrate loaded on import"
+assert rydswap.dynamics.expm is scipy.linalg.expm
+assert rydswap.gates.phase_optimized_fidelity(np.eye(4), np.eye(4), 2) == 1.0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_cold_start_imports_only_what_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

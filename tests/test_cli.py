@@ -260,6 +260,8 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
     ("gate", "table1_swap", "gate.t_us=-1", "t_us"),
     ("gate", "table1_cswap", "gate.vtt_mhz=5", "vtt_mhz"),
     ("gate", "table1_cswap", "gate.n_controls=2", "n_controls"),
+    ("gate", "table1_cswap", "gate.vct_radus=0", "vct_radus"),
+    ("noise", "fig3a_doppler", "gate.vct_radus=0", "vct_radus"),
     # fixed values, each set to the value it is fixed at
     ("gate", "table1_cswap", "gate.vcc_radus=22140", "vcc_radus"),
     ("gate", "table1_cswap", "gate.omega_c_mhz=10", "omega_c_mhz"),
@@ -295,6 +297,15 @@ def test_every_gate_key_is_honoured_or_rejected():
         except ConfigError:
             continue
         assert not np.array_equal(u, base), f"{key}={value} is accepted but not honoured"
+
+
+def test_scan_over_v_ct_needs_no_v_ct_in_its_gate(tmp_path):
+    # the scan sets v_ct per point, so a [gate] v_ct of 0 is not a rejected gate
+    rc = run_cli(["scan", "--preset", "fig4c_vscan", "--set", "gate.vct_radus=0"] + _SMALL["scan"]
+                 + ["--out", str(tmp_path / "o")])
+    assert rc == 0
+    row = (tmp_path / "o" / "scan.csv").read_text().splitlines()[-1].split(",")
+    assert row[-1] == "" and float(row[1]) > 0.9  # the point ran, at its own v_ct
 
 
 def test_scan_of_a_non_numeric_parameter_rejected(tmp_path, capsys):
