@@ -86,13 +86,6 @@ def _lifetime(raw: str) -> float | None:
     return None if raw.lower() in ("none", "inf", "off") else _number()(raw)
 
 
-def _boolean(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError("not a boolean (yes/no, true/false, on/off, 1/0)") from None
-
-
 _GATE = ("gate", "calibrate", "scan", "noise", "trajectory")  # the subcommands that read [gate]
 
 # section.key -> (field it fills, reader, subcommands that read it).  Keys
@@ -114,10 +107,6 @@ _SCHEMA = {
     "gate.lifetime_us": ("lifetime", _lifetime, _GATE),
     "gate.n_controls": ("n_controls", _integer, _GATE),
     "noise.temp_uk": ("doppler.temperature_K", _number(per=1e6), ("noise",)),
-    "noise.mass_kg": ("doppler.mass_kg", _number(), ("noise",)),
-    "noise.lambda1_nm": ("doppler.lambda1_m", _number(per=1e9), ("noise",)),
-    "noise.lambda2_nm": ("doppler.lambda2_m", _number(per=1e9), ("noise",)),
-    "noise.counter_propagating": ("doppler.counter_propagating", _boolean, ("noise",)),
     "noise.di_i_omega1": ("widths.omega1", _number(), ("noise",)),
     "noise.di_i_omega2": ("widths.omega2", _number(), ("noise",)),
     "noise.n_shots": ("noise.n_shots", _integer, ("noise",)),

@@ -2,8 +2,10 @@
 
 The integrator exponentiates H(t_mid) exactly over each step, so the large
 static interaction diagonals (tens of GHz) cost nothing in step size; the
-step is limited only by envelope smoothness.  Every stage Hamiltonian is
-block-diagonal, with blocks derived from the atoms (see
+step is limited only by envelope smoothness.  Every drive is on for its
+whole stage, so only Stage says when a drive is on, and a stage's uniform
+step count follows from the shapes it drives (StepPolicy).  Every stage
+Hamiltonian is block-diagonal, with blocks derived from the atoms (see
 HamiltonianSpec.block_groups), and one kernel propagates each group of
 equal-shape blocks on its own.  A block's step propagator is a phase times
 the Kronecker product of its factor rows' exponentials, and the kernel works
@@ -66,10 +68,10 @@ class PropagationError(RuntimeError):
 class StepPolicy:
     """Integrator step control.
 
-    The step is a quarter of the narrowest active Gaussian window over
-    gaussian_resolution, so a Gaussian spanning its stage takes exactly
-    4 gaussian_resolution steps; a stage without one takes exactly
-    square_resolution steps.
+    Every envelope spans its stage, so the step count depends only on the
+    shapes driven: a stage with a nonzero Gaussian takes 4
+    gaussian_resolution uniform steps, a quarter of its sigma each, and
+    any other stage takes square_resolution.
     """
 
     gaussian_resolution: int = 800
@@ -126,15 +128,9 @@ def evolve_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
 
 def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
     """Number of uniform steps for a stage (see StepPolicy)."""
-    windows = [
-        d.envelope.t_end - d.envelope.t_start
-        for d in stage.spec.drives
-        if d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0
-    ]
-    if not windows:
-        return policy.square_resolution
-    # the ratio first: duration / window is exactly 1 for a stage-spanning pulse
-    return math.ceil(4 * policy.gaussian_resolution * (stage.duration / min(windows)))
+    if any(d.envelope.kind == "truncated_gaussian" and d.envelope.amplitude != 0.0 for d in stage.spec.drives):
+        return 4 * policy.gaussian_resolution
+    return policy.square_resolution
 
 
 def _factor_exponentials(group: BlockGroup, energies, rows: np.ndarray, dt: float) -> list[np.ndarray]:
@@ -271,7 +267,7 @@ def propagate_matrix(
             raise ValueError("stage basis dimension does not match the propagated state")
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
-        evaluator = HamiltonianEvaluator(stage.spec, noise, t_offset)
+        evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
         factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
         constant = np.all(factors == factors[0])
         if constant:
@@ -413,14 +409,14 @@ def propagate_rk(
 
     psi = np.asarray(psi0, dtype=complex)
     for stage in plan.stages:
-        diag = -1j * HamiltonianEvaluator(stage.spec, None).diagonal
+        diag = -1j * HamiltonianEvaluator(stage.spec, stage.duration).diagonal
         envelopes = list(dict.fromkeys(d.envelope for d in stage.spec.drives))
         couplings = np.zeros((len(envelopes), len(diag), len(diag)), dtype=complex)
         for d, k in zip(stage.spec.drives, stage.spec.coupling_matrices()):
             couplings[envelopes.index(d.envelope)] -= 1j * k
 
         def rhs(t, y):
-            f = np.array([envelope_value(env, t) for env in envelopes])
+            f = np.array([envelope_value(env, t, stage.duration) for env in envelopes])
             return diag * y + f @ (couplings @ y)
 
         sol = solve_ivp(

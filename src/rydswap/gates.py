@@ -147,7 +147,7 @@ class GateProtocol:
     phase_adjust: tuple[tuple[int, str, float], ...]  # (atom, level, radians)
     n_controls: int
     params: GateParams
-    conjugation: tuple[np.ndarray, np.ndarray] | None = None  # (pre, post) ideal flankers
+    flank: np.ndarray | None = None  # ideal permutation applied before and after the gate
 
     @property
     def n_qubits(self) -> int:
@@ -286,42 +286,16 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
         pairs = tuple((n_controls + i, n_controls + j) for i, j in member.blockade)
 
     def control_stage(control: int, sign: float) -> Stage:
-        drives = tuple(
-            DriveTerm(
-                control,
-                lower,
-                upper,
-                square_pulse(sign * params.omega_c, 0.0, t_pi),
-                doppler_sensitive=True,
-                family="omega_c",
-            )
-            for lower, upper in pulses
-        )
+        drives = tuple(DriveTerm(control, lower, upper, square_pulse(sign * params.omega_c),
+                                 doppler_sensitive=True, family="omega_c") for lower, upper in pulses)
         return Stage(t_pi, HamiltonianSpec(basis, drives, interactions, frame, pairs))
 
     def target_stage() -> Stage:
         drives = []
         for t in range(n_controls, basis.n_atoms):
-            drives.append(
-                DriveTerm(
-                    t,
-                    "0",
-                    "1",
-                    gaussian_pulse(params.omega1_max, 0.0, params.duration),
-                    doppler_sensitive=False,
-                    family="omega1",
-                )
-            )
-            drives.append(
-                DriveTerm(
-                    t,
-                    "1",
-                    "r",
-                    square_pulse(params.omega2, 0.0, params.duration),
-                    doppler_sensitive=True,
-                    family="omega2",
-                )
-            )
+            drives.append(DriveTerm(t, "0", "1", gaussian_pulse(params.omega1_max), family="omega1"))
+            drives.append(DriveTerm(t, "1", "r", square_pulse(params.omega2), doppler_sensitive=True,
+                                    family="omega2"))
         return Stage(params.duration, HamiltonianSpec(basis, tuple(drives), interactions, frame, pairs))
 
     stages: list[Stage] = []
@@ -335,8 +309,6 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
     atoms = {"controls": range(n_controls), "targets": range(n_controls, basis.n_atoms)}
     adjust = tuple((a, level, phi_pi * math.pi) for phi_pi, who, level in member.adjust for a in atoms[who])
 
-    conjugation = (_flank(member, n_controls),) * 2 if member.flank else None
-
     return GateProtocol(
         variant=variant,
         basis=basis,
@@ -345,7 +317,7 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
         phase_adjust=adjust,
         n_controls=n_controls,
         params=params,
-        conjugation=conjugation,
+        flank=_flank(member, n_controls) if member.flank else None,
     )
 
 
@@ -440,12 +412,12 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
     # exchange phase): report the conjugate of the propagator elements.
     u = np.conj(u)
     u = _adjust_diagonal(protocol)[:, None] * u
-    if protocol.conjugation is not None:
-        pre, post = protocol.conjugation
-        u = post @ u @ pre
+    if protocol.flank is not None:
+        x = protocol.flank
+        u = x @ u @ x
         # the flanking permutation relabels which physical input feeds each
         # column, so per-input quantities follow it
-        perm = np.argmax(np.abs(pre), axis=0)
+        perm = np.argmax(np.abs(x), axis=0)
         loss = loss[perm]
         t_ryd = t_ryd[perm]
 
@@ -535,6 +507,6 @@ def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float
     the dynamical light-shift phase the effective model predicts.
     """
     j = int("".join(map(str, input_bits)), 2)
-    column = run_gate(replace(protocol, phase_adjust=(), conjugation=None)).u_gate[:, j]
+    column = run_gate(replace(protocol, phase_adjust=(), flank=None)).u_gate[:, j]
     i = int(np.argmax(np.abs(column)))
     return wrap_phase(float(np.angle(column[i] if i == j else -column[i])))

@@ -28,53 +28,46 @@ INTENSITY_INTERVAL = 0.01  # us between laser-intensity noise resamples
 
 @dataclass(frozen=True)
 class Envelope:
-    """Time envelope of a drive amplitude.
+    """Shape and peak of a drive amplitude over its stage.
 
-    kind is ``truncated_gaussian`` or ``square``.  The truncated Gaussian is
+    kind is ``truncated_gaussian`` or ``square``.  An envelope spans the
+    stage it drives: only the stage's duration T says when it is on.  The
+    truncated Gaussian is
 
-        amplitude * (exp(-(t - t_mid)^2 / 2 sigma^2) - exp(-(T/2)^2 / 2 sigma^2))
+        amplitude * (exp(-(t - T/2)^2 / 2 sigma^2) - exp(-(T/2)^2 / 2 sigma^2))
 
-    with sigma = T/4 for its window T = t_end - t_start, inside [t_start,
-    t_end] and exactly zero at both endpoints and outside; the square
-    envelope is amplitude on [t_start, t_end) and zero outside.
+    with sigma = T/4, exactly zero at t = 0 and t = T; the square envelope
+    is amplitude on all of [0, T].  A drive on for part of the time is a
+    stage of its own.
     """
 
     kind: str
     amplitude: float = 0.0
-    t_start: float = 0.0
-    t_end: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("truncated_gaussian", "square"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
-        if self.kind == "truncated_gaussian" and self.t_end <= self.t_start:
-            raise ValueError("truncated_gaussian needs t_end > t_start")
-
-    @property
-    def sigma(self) -> float:
-        """Gaussian width, a quarter of the window."""
-        return 0.25 * (self.t_end - self.t_start)
 
 
-def envelope_value(env: Envelope, t):
-    """Evaluate an envelope at time t (us, a float or an array), in rad/us."""
+def envelope_value(env: Envelope, t, duration: float):
+    """Evaluate an envelope at time t (us, a float or an array) into a stage of that duration, in rad/us."""
     if env.kind == "square":
-        return env.amplitude * ((env.t_start <= t) & (t < env.t_end))
+        return np.full(np.shape(t), env.amplitude)
     # truncated_gaussian
-    half = 0.5 * (env.t_end - env.t_start)
-    t_mid = env.t_start + half
-    core = np.exp(-((t - t_mid) ** 2) / (2.0 * env.sigma**2))
-    floor = math.exp(-(half**2) / (2.0 * env.sigma**2))
-    return env.amplitude * (core - floor) * ((env.t_start <= t) & (t <= env.t_end))
+    half = 0.5 * duration
+    sigma = 0.25 * duration
+    core = np.exp(-((t - half) ** 2) / (2.0 * sigma**2))
+    floor = math.exp(-(half**2) / (2.0 * sigma**2))
+    return env.amplitude * (core - floor)
 
 
-def gaussian_pulse(amplitude: float, t_start: float, duration: float) -> Envelope:
-    """Truncated Gaussian on [t_start, t_start + duration], sigma = duration/4."""
-    return Envelope("truncated_gaussian", amplitude=amplitude, t_start=t_start, t_end=t_start + duration)
+def gaussian_pulse(amplitude: float) -> Envelope:
+    """Truncated Gaussian over its stage, sigma = a quarter of the stage."""
+    return Envelope("truncated_gaussian", amplitude=amplitude)
 
 
-def square_pulse(amplitude: float, t_start: float, duration: float) -> Envelope:
-    return Envelope("square", amplitude=amplitude, t_start=t_start, t_end=t_start + duration)
+def square_pulse(amplitude: float) -> Envelope:
+    return Envelope("square", amplitude=amplitude)
 
 
 @dataclass(frozen=True)
@@ -341,12 +334,14 @@ class HamiltonianEvaluator:
     static energies and Doppler shifts minus i/2 the decay rates (zero on
     excluded states), and the dense coupling matrices K_d are built on the
     first call only; the block kernel reads diagonal and drive_factors.
-    Envelopes are read at stage time t, intensity noise at the global time
-    t_offset + t.
+    Envelopes span the stage of the given duration and are read at stage
+    time t, intensity noise at the global time t_offset + t.
     """
 
-    def __init__(self, spec: HamiltonianSpec, noise: NoiseRealization | None = None, t_offset: float = 0.0):
+    def __init__(self, spec: HamiltonianSpec, duration: float, noise: NoiseRealization | None = None,
+                 t_offset: float = 0.0):
         self.spec = spec
+        self.duration = duration
         self.noise = noise
         self.t_offset = t_offset
         basis = spec.basis
@@ -374,7 +369,7 @@ class HamiltonianEvaluator:
         """Drive amplitudes f_d(t), shape (len(times), n_drives)."""
         f = np.zeros((len(times), len(self.spec.drives)))
         for j, d in enumerate(self.spec.drives):
-            f[:, j] = envelope_value(d.envelope, times)
+            f[:, j] = envelope_value(d.envelope, times, self.duration)
             if self.noise is not None:
                 f[:, j] *= self.noise.intensity_at(d.family, self.t_offset + times)
         return f

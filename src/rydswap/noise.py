@@ -21,7 +21,7 @@ from .model import INTENSITY_INTERVAL, NoiseRealization
 
 KB = 1.380649e-23  # J/K
 
-# 133Cs mass and the two-photon excitation wavelengths used throughout.
+# 133Cs mass and the wavelengths of the two counter-propagating excitation beams.
 CS_MASS_KG = 2.2069e-25
 LAMBDA_BLUE_M = 459.6e-9
 LAMBDA_IR_M = 1040e-9
@@ -30,16 +30,10 @@ LAMBDA_IR_M = 1040e-9
 @dataclass(frozen=True)
 class DopplerSpec:
     temperature_K: float
-    mass_kg: float = CS_MASS_KG
-    lambda1_m: float = LAMBDA_BLUE_M
-    lambda2_m: float = LAMBDA_IR_M
-    counter_propagating: bool = True
 
     def __post_init__(self):
-        if self.temperature_K < 0 or self.mass_kg <= 0:
-            raise ValueError("temperature must be >= 0 and mass positive")
-        if self.lambda1_m <= 0 or self.lambda2_m <= 0:
-            raise ValueError("wavelengths must be positive")
+        if self.temperature_K < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,12 +63,11 @@ class NoiseSpec:
 def doppler_sigma(spec: DopplerSpec) -> float:
     """Doppler detuning width sigma = k_eff * v_rms, rad/us.
 
-    k_eff = 2*pi |1/l1 -+ 1/l2| (difference for counter-propagating beams,
-    sum for co-propagating); v_rms = sqrt(kB T / M).
+    k_eff = 2*pi |1/l1 - 1/l2| for the counter-propagating 459.6 and 1040 nm
+    beams; v_rms = sqrt(kB T / M) for 133Cs.
     """
-    inv1, inv2 = 1.0 / spec.lambda1_m, 1.0 / spec.lambda2_m
-    k_eff = 2.0 * math.pi * (abs(inv1 - inv2) if spec.counter_propagating else (inv1 + inv2))
-    v_rms = math.sqrt(KB * spec.temperature_K / spec.mass_kg)  # m/s
+    k_eff = 2.0 * math.pi * abs(1.0 / LAMBDA_BLUE_M - 1.0 / LAMBDA_IR_M)
+    v_rms = math.sqrt(KB * spec.temperature_K / CS_MASS_KG)  # m/s
     return k_eff * v_rms * 1e-6  # rad/s -> rad/us
 
 

@@ -363,7 +363,7 @@ def test_criterion_7_oracle_suite(table_runs):
     basis = build_basis([qubit_scheme()] * 2)
     t_run = 1.45 * math.pi / (2 * abs(ep.omega_eff))
     drives = tuple(
-        DriveTerm(a, l, u, square_pulse(amp, 0.0, t_run), family=f)
+        DriveTerm(a, l, u, square_pulse(amp), family=f)
         for a in (0, 1)
         for l, u, amp, f in (("0", "1", om1, "omega1"), ("1", "r", p.omega2, "omega2"))
     )

@@ -55,7 +55,7 @@ def test_zero_hamiltonian_identity():
 def test_resonant_pi_pulse():
     basis = build_basis([qubit_scheme()])
     om = TWO_PI * 10.0
-    drive = DriveTerm(0, "0", "1", square_pulse(om, 0.0, math.pi / om), family="x")
+    drive = DriveTerm(0, "0", "1", square_pulse(om), family="x")
     spec = HamiltonianSpec(basis, (drive,), InteractionGraph(), ())
     res = propagate(StagePlan((Stage(math.pi / om, spec),)), basis.basis_state(("0",)))
     target = -1j * basis.basis_state(("1",))
@@ -152,11 +152,11 @@ def test_default_resolution_amplitude_stability():
 
 
 def test_square_window_shorter_than_stage():
-    # a square drive that ends a quarter of the way into its stage is a
-    # pi/2 pulse, not a 2 pi rotation over the whole stage
+    # a square drive on for a quarter of the time, as a driven stage and an
+    # undriven one, is a pi/2 pulse, not a 2 pi rotation over the whole time
     basis = build_basis([qubit_scheme()])
-    drive = DriveTerm(0, "0", "1", square_pulse(TWO_PI * 1.0, 0.0, 0.25), family="x")
-    plan = StagePlan((Stage(1.0, HamiltonianSpec(basis, (drive,))),))
+    drive = DriveTerm(0, "0", "1", square_pulse(TWO_PI * 1.0), family="x")
+    plan = StagePlan((Stage(0.25, HamiltonianSpec(basis, (drive,))), Stage(0.75, HamiltonianSpec(basis))))
     psi0 = basis.basis_state(("0",))
     psi = propagate(plan, psi0).final_state
     assert np.max(np.abs(psi - propagate_rk(plan, psi0))) < 1e-8
@@ -234,11 +234,11 @@ def _blocked_plan():
     basis = build_basis([atom0, qubit_scheme(("r",), g)])
     frame = ((0, "1", TWO_PI * 3.0), (0, "rd", TWO_PI * 7.0), (1, "1", TWO_PI * 2.0), (1, "r", TWO_PI * 5.0))
     t1, t2 = 0.13, 0.9
-    first = (DriveTerm(0, "0", "ra", square_pulse(TWO_PI * 4.0, 0.0, t1), family="omega1"),)
+    first = (DriveTerm(0, "0", "ra", square_pulse(TWO_PI * 4.0), family="omega1"),)
     second = (
-        DriveTerm(0, "0", "ra", gaussian_pulse(TWO_PI * 9.0, 0.0, t2), family="omega1"),
-        DriveTerm(0, "ra", "rb", square_pulse(TWO_PI * 6.0, 0.0, t2), family="omega2"),
-        DriveTerm(0, "1", "rc", square_pulse(TWO_PI * 5.0, 0.0, t2), family="omega2"),
+        DriveTerm(0, "0", "ra", gaussian_pulse(TWO_PI * 9.0), family="omega1"),
+        DriveTerm(0, "ra", "rb", square_pulse(TWO_PI * 6.0), family="omega2"),
+        DriveTerm(0, "1", "rc", square_pulse(TWO_PI * 5.0), family="omega2"),
     )
     stages = (Stage(t1, HamiltonianSpec(basis, first, frame_detunings=frame)),
               Stage(t2, HamiltonianSpec(basis, second, frame_detunings=frame + ((0, "rb", TWO_PI * 1.5),))))
@@ -266,7 +266,7 @@ def test_block_kernel_matches_dense_per_step_oracle():
             t = (k + 0.5) * dt
             h = static.copy()
             for d, kmat in zip(spec.drives, spec.coupling_matrices()):
-                h += envelope_value(d.envelope, t) * noise.intensity_at(d.family, t_offset + t) * kmat
+                h += envelope_value(d.envelope, t, stage.duration) * noise.intensity_at(d.family, t_offset + t) * kmat
             psi = evolve_step(h, dt, psi)
             pops.append(np.abs(psi) ** 2)
         t_offset += stage.duration
@@ -300,7 +300,7 @@ def _dense_oracle(plan, cols, noise=None):
     for stage in plan.stages:
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
-        evaluator = HamiltonianEvaluator(stage.spec, noise, t_offset)
+        evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
         mids = (np.arange(n) + 0.5) * dt
         factors = evaluator.drive_factors(mids)
         varying = np.any(factors != factors[0])
@@ -365,8 +365,8 @@ def _constant_stage_plan():
     atom1 = LevelScheme(("0", "1", "ra", "rb", "rc"), (False, False, True, True, True), (0.0, 0.0, 0.5, 2.0, 0.0))
     basis = build_basis([qubit_scheme(("r",), 1.0), atom1])
     frame = ((0, "1", TWO_PI * 3.0), (1, "1", TWO_PI * 2.0), (1, "rb", TWO_PI * 5.0), (0, "r", TWO_PI * 1.5))
-    drives = (DriveTerm(0, "0", "1", square_pulse(TWO_PI * 4.0, 0.0, 0.6), family="omega1"),
-              DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0, 0.0, 0.6), family="omega2"))
+    drives = (DriveTerm(0, "0", "1", square_pulse(TWO_PI * 4.0), family="omega1"),
+              DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0), family="omega2"))
     return StagePlan((Stage(0.6, HamiltonianSpec(basis, drives, frame_detunings=frame)),), StepPolicy(square_resolution=37))
 
 
@@ -404,7 +404,8 @@ def _step_exponentials(plan, noise, index):
     stage = plan.stages[index]
     n = _stage_steps(stage, plan.policy)
     dt = stage.duration / n
-    evaluator = HamiltonianEvaluator(stage.spec, noise, sum(s.duration for s in plan.stages[:index]))
+    t_offset = sum(s.duration for s in plan.stages[:index])
+    evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
     factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
     axes, coords = _affine_axes(factors)
     out = []
@@ -443,34 +444,35 @@ def test_interpolated_gate_matches_per_step_path(name, monkeypatch):
 
 
 def test_stage_steps_are_exact_for_a_stage_spanning_pulse():
-    # 4 * resolution steps for a Gaussian whose window is its stage, and
-    # square_resolution for a square stage, at every duration of a fine grid:
-    # dividing by the step instead rounds some of them up by one
+    # 4 * resolution steps for a Gaussian stage and square_resolution for a
+    # square stage, at every duration of a fine grid
     basis = build_basis([qubit_scheme()])
     policy = StepPolicy()
     counts = set()
     for t in np.linspace(2.0, 10.0, 20001):
-        gauss = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", gaussian_pulse(1.0, 0.0, t)),)))
-        square = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", square_pulse(1.0, 0.0, t)),)))
+        gauss = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", gaussian_pulse(1.0)),)))
+        square = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", square_pulse(1.0)),)))
         counts.add((_stage_steps(gauss, policy), _stage_steps(square, policy)))
     assert counts == {(4 * policy.gaussian_resolution, policy.square_resolution)}
 
 
 def test_three_independent_drives_take_the_steps_as_nodes():
-    # three Gaussians on different windows span three axes; their tensor
-    # grid would outnumber the steps, so every step is exponentiated
+    # three Gaussians under independent intensity tracks span three axes;
+    # their tensor grid would outnumber the steps, so every step is
+    # exponentiated
     basis = build_basis([LevelScheme(("0", "1", "r", "s"), (False, False, True, True), (0.0, 0.0, 0.01, 0.01))])
-    drives = (DriveTerm(0, "0", "1", gaussian_pulse(TWO_PI * 300.0, 0.0, 1.0), family="a"),
-              DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 250.0, 0.1, 0.8), family="b"),
-              DriveTerm(0, "r", "s", gaussian_pulse(TWO_PI * 200.0, 0.3, 0.7), family="c"))
+    drives = (DriveTerm(0, "0", "1", gaussian_pulse(TWO_PI * 300.0), family="a"),
+              DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 250.0), family="b"),
+              DriveTerm(0, "r", "s", gaussian_pulse(TWO_PI * 200.0), family="c"))
     spec = HamiltonianSpec(basis, drives, frame_detunings=((0, "1", TWO_PI * 40.0),))
     plan = StagePlan((Stage(1.0, spec),), StepPolicy(gaussian_resolution=20))
-    assert _stage_steps(plan.stages[0], plan.policy) == 115  # ceil(4 * 20 * 1.0 / 0.7), the narrowest window
-    ((counts, _, interp),) = _step_exponentials(plan, None, 0)
+    rng = np.random.default_rng(8)
+    noise = NoiseRealization(intensity_factors={f: 1.0 + 0.3 * rng.standard_normal(100) for f in "abc"})
+    ((counts, _, interp),) = _step_exponentials(plan, noise, 0)
     assert len(counts) == 3 and interp is None
     assert math.prod(counts) >= _stage_steps(plan.stages[0], plan.policy)
     cols = np.eye(basis.dim)
-    assert np.max(np.abs(propagate_matrix(plan, cols).final_state - _dense_oracle(plan, cols)[0])) < 1e-9
+    assert np.max(np.abs(propagate_matrix(plan, cols, noise).final_state - _dense_oracle(plan, cols, noise)[0])) < 1e-9
 
 
 def test_axis_nodes_grow_with_tau_and_give_way_to_the_steps():

@@ -27,29 +27,33 @@ class TestEnvelope:
     def test_truncated_gaussian_peak_value(self):
         # peak = amplitude * (1 - exp(-2)) for sigma = T/4
         T = 4.7259
-        env = gaussian_pulse(TWO_PI * 33.5, 0.0, T)
+        env = gaussian_pulse(TWO_PI * 33.5)
         expected = TWO_PI * 33.5 * (1.0 - math.exp(-2.0))
-        assert envelope_value(env, T / 2) == pytest.approx(expected, rel=1e-12)
+        assert envelope_value(env, T / 2, T) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(TWO_PI * 28.9663, rel=1e-4)
 
     def test_truncated_gaussian_vanishes_at_edges_and_outside(self):
-        env = gaussian_pulse(1.0, 1.0, 3.0)
-        assert envelope_value(env, 1.0) == 0.0
-        assert envelope_value(env, 4.0) == 0.0
-        assert envelope_value(env, 0.5) == 0.0
-        assert envelope_value(env, 4.5) == 0.0
+        env = gaussian_pulse(1.0)
+        assert envelope_value(env, 0.0, 3.0) == 0.0
+        assert envelope_value(env, 3.0, 3.0) == 0.0
 
     def test_truncated_gaussian_continuity(self):
-        env = gaussian_pulse(2.0, 0.0, 2.0)
+        env = gaussian_pulse(2.0)
         eps = 1e-9
-        assert abs(envelope_value(env, eps) - envelope_value(env, 0.0)) < 1e-6
-        assert abs(envelope_value(env, 2.0 - eps)) < 1e-6
+        assert abs(envelope_value(env, eps, 2.0) - envelope_value(env, 0.0, 2.0)) < 1e-6
+        assert abs(envelope_value(env, 2.0 - eps, 2.0)) < 1e-6
 
     def test_square(self):
-        env = square_pulse(3.0, 1.0, 2.0)
-        assert envelope_value(env, 1.5) == 3.0
-        assert envelope_value(env, 0.999) == 0.0
-        assert envelope_value(env, 3.0) == 0.0
+        env = square_pulse(3.0)
+        assert envelope_value(env, 0.5, 2.0) == 3.0
+
+    def test_square_on_and_gaussian_zero_at_stage_ends(self):
+        # the square drive is on at both ends of its stage, where the
+        # Runge-Kutta oracle evaluates it, and the Gaussian is exactly 0 there
+        for T in np.linspace(0.1, 10.0, 991):
+            for t in (0.0, T, np.array([0.0, T])):
+                assert np.all(envelope_value(square_pulse(3.0), t, T) == 3.0)
+                assert np.all(envelope_value(gaussian_pulse(2.0), t, T) == 0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +62,7 @@ class TestEnvelope:
 
 def _single_atom_spec(delta):
     basis = build_basis([qubit_scheme()])
-    drive = DriveTerm(0, "1", "r", square_pulse(TWO_PI * 10.0, 0.0, 1.0), family="omega2", doppler_sensitive=True)
+    drive = DriveTerm(0, "1", "r", square_pulse(TWO_PI * 10.0), family="omega2", doppler_sensitive=True)
     frame = ((0, "1", delta),)
     return basis, HamiltonianSpec(basis, (drive,), InteractionGraph(), frame)
 
@@ -66,7 +70,7 @@ def _single_atom_spec(delta):
 def test_single_atom_matrix_entries():
     delta = TWO_PI * 5.0
     basis, spec = _single_atom_spec(delta)
-    h = HamiltonianEvaluator(spec)(0.5)
+    h = HamiltonianEvaluator(spec, 1.0)(0.5)
     i1, ir = basis.index_of(("1",)), basis.index_of(("r",))
     assert h[ir, i1] == pytest.approx(TWO_PI * 5.0)
     assert h[i1, ir] == pytest.approx(TWO_PI * 5.0)
@@ -106,11 +110,11 @@ def test_collective_hamiltonian_matches_hand_built_matrix(seed):
     basis = build_basis([qubit_scheme()] * 2)
     drives = []
     for a in (0, 1):
-        drives.append(DriveTerm(a, "0", "1", square_pulse(om1, 0.0, 1.0), family="omega1"))
-        drives.append(DriveTerm(a, "1", "r", square_pulse(om2, 0.0, 1.0), family="omega2"))
+        drives.append(DriveTerm(a, "0", "1", square_pulse(om1), family="omega1"))
+        drives.append(DriveTerm(a, "1", "r", square_pulse(om2), family="omega2"))
     frame = standard_target_frame(basis, delta) + ((0, "r", v), (1, "r", v))
     spec = HamiltonianSpec(basis, tuple(drives), InteractionGraph(), frame, ((0, 1),))
-    h = HamiltonianEvaluator(spec)(0.5)
+    h = HamiltonianEvaluator(spec, 1.0)(0.5)
     ref, idx = _reference_collective_matrix(basis, om1, om2, delta, v)
     assert np.max(np.abs(h - ref)) < 1e-9 * max(om2, delta)
     irr = idx["rr"]
@@ -137,7 +141,7 @@ def test_hermiticity_of_nondecay_part():
         )
         proto = make_protocol("C_SWAP_CCSdag", params)
         for stage in proto.plan.stages:
-            h = HamiltonianEvaluator(stage.spec)(0.3 * stage.duration)
+            h = HamiltonianEvaluator(stage.spec, stage.duration)(0.3 * stage.duration)
             h_h = (h + h.conj().T) / 2
             assert np.linalg.norm(h_h - h_h.conj().T) < 1e-12 * np.linalg.norm(h_h)
             anti = (h - h.conj().T) / 2
@@ -179,7 +183,7 @@ def test_interaction_irrelevant_without_rydberg_drive():
     basis = build_basis([qubit_scheme()] * 2)
     om1 = TWO_PI * 20.0
     drives = tuple(
-        DriveTerm(a, "0", "1", square_pulse(om1, 0.0, 2.0), family="omega1") for a in (0, 1)
+        DriveTerm(a, "0", "1", square_pulse(om1), family="omega1") for a in (0, 1)
     )
     frame = standard_target_frame(basis, TWO_PI * 300.0)
     graph = InteractionGraph.from_dict({(0, "r", 1, "r"): TWO_PI * 700.0})
@@ -219,7 +223,7 @@ def test_noise_realization_enters_hamiltonian():
         doppler_shifts=(TWO_PI * 0.1,),
         intensity_factors={"omega2": np.array([0.5])},
     )
-    h = HamiltonianEvaluator(spec, real)(0.5)
+    h = HamiltonianEvaluator(spec, 1.0, real)(0.5)
     i1, ir = basis.index_of(("1",)), basis.index_of(("r",))
     assert h[ir, i1] == pytest.approx(0.5 * TWO_PI * 5.0)
     assert h[ir, ir] == pytest.approx(TWO_PI * 0.1)
@@ -228,7 +232,7 @@ def test_noise_realization_enters_hamiltonian():
 def test_drive_coupling_embedding():
     # a drive on atom 1 couples its two levels whatever atom 0's level is
     basis = build_basis([qubit_scheme()] * 2)
-    spec = HamiltonianSpec(basis, (DriveTerm(1, "1", "r", square_pulse(1.0, 0.0, 1.0)),))
+    spec = HamiltonianSpec(basis, (DriveTerm(1, "1", "r", square_pulse(1.0)),))
     (full,) = spec.coupling_matrices()
     for a in ("0", "1", "r"):
         assert full[basis.index_of((a, "r")), basis.index_of((a, "1"))] == 0.5
@@ -239,9 +243,9 @@ def test_drive_coupling_embedding():
 def test_drive_validation():
     basis = build_basis([qubit_scheme()])
     with pytest.raises(ValueError):
-        DriveTerm(0, "1", "1", square_pulse(1.0, 0, 1))
+        DriveTerm(0, "1", "1", square_pulse(1.0))
     with pytest.raises(KeyError):
-        HamiltonianSpec(basis, (DriveTerm(0, "1", "q", square_pulse(1.0, 0, 1)),))
+        HamiltonianSpec(basis, (DriveTerm(0, "1", "q", square_pulse(1.0)),))
 
 
 # the target stage's largest group: (distinct blocks, factor sizes)
@@ -320,7 +324,7 @@ def _random_spec(rng):
         a = int(rng.integers(n))
         lo, up = rng.choice(schemes[a].labels, 2, replace=False)
         upper_shifts.append((a, str(up), float(rng.normal())))
-        drives.append(DriveTerm(a, str(lo), str(up), square_pulse(1.0, 0.0, 1.0),
+        drives.append(DriveTerm(a, str(lo), str(up), square_pulse(1.0),
                                 doppler_sensitive=bool(rng.integers(2))))
     interactions, pairs = {}, []
     for i in range(n):
@@ -343,7 +347,7 @@ def test_block_groups_reassemble_the_dense_hamiltonian():
     for _ in range(60):
         spec = _random_spec(rng)
         shifts = tuple(rng.normal(size=spec.basis.n_atoms))
-        evaluator = HamiltonianEvaluator(spec, NoiseRealization(doppler_shifts=shifts))
+        evaluator = HamiltonianEvaluator(spec, 1.0, NoiseRealization(doppler_shifts=shifts))
         f = rng.normal(size=len(spec.drives))
         diag = evaluator.diagonal
         h = np.zeros((spec.basis.dim,) * 2, dtype=complex)

@@ -31,12 +31,6 @@ class TestDopplerSigma:
         s4 = doppler_sigma(DopplerSpec(temperature_K=200e-6))
         assert s4 == pytest.approx(2 * s1, rel=1e-12)
 
-    def test_copropagating_uses_sum(self):
-        counter = doppler_sigma(DopplerSpec(temperature_K=1e-4))
-        co = doppler_sigma(DopplerSpec(temperature_K=1e-4, counter_propagating=False))
-        ratio = (1 / 459.6 + 1 / 1040) / abs(1 / 459.6 - 1 / 1040)
-        assert co / counter == pytest.approx(ratio, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DopplerSpec(temperature_K=-1.0)
