@@ -27,9 +27,9 @@ themselves.  The interpolant is checked against a direct exponential at
 the step of largest Lebesgue sum.  Each step applies the factors to their
 axes of the block states, X <- phase A X B^T for two clusters.
 ``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
-scipy explicit Runge-Kutta propagation (``propagate_rk``, which imports
-``solve_ivp`` on its first call) and the dense ``evolve_step`` are kept
-alongside as independent cross-checks.
+Runge-Kutta propagation (``propagate_rk``, scipy's Fortran DOP853, imported
+on its first call) and the dense ``evolve_step`` are kept alongside as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -398,37 +399,41 @@ def propagate_rk(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> np.ndarray:
-    """Cross-check propagation with scipy's explicit Runge-Kutta (DOP853).
+    """Cross-check propagation with Hairer and Wanner's Fortran DOP853 (scipy.integrate.ode).
 
     Independent of the exponential stepper and of the block structure: the
     right-hand side is -i (diagonal + the dense couplings summed per distinct
-    envelope) y, and a call computes only the envelope values.  Used to
-    validate the stepper on small systems.  Returns the final state only.
+    envelope) y, in real form.  Square envelopes are constant, so their
+    couplings join the static part; a call evaluates each other distinct
+    envelope once, as a scalar.  Used to validate the stepper on small
+    systems.  Returns the final state only.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import ode
 
     psi = np.asarray(psi0, dtype=complex)
+    n = len(psi)
     for stage in plan.stages:
-        diag = -1j * HamiltonianEvaluator(stage.spec, stage.duration).diagonal
-        envelopes = list(dict.fromkeys(d.envelope for d in stage.spec.drives))
-        couplings = np.zeros((len(envelopes), len(diag), len(diag)), dtype=complex)
+        timed = list(dict.fromkeys(d.envelope for d in stage.spec.drives if d.envelope.kind != "square"))
+        gens = np.zeros((1 + len(timed), n, n), dtype=complex)  # -i H = gens[0] + sum_k f_k(t) gens[1 + k]
+        gens[0] = np.diag(-1j * HamiltonianEvaluator(stage.spec, stage.duration).diagonal)
         for d, k in zip(stage.spec.drives, stage.spec.coupling_matrices()):
-            couplings[envelopes.index(d.envelope)] -= 1j * k
+            if d.envelope.kind == "square":  # constant over the stage
+                gens[0] -= 1j * float(envelope_value(d.envelope, 0.0, stage.duration)) * k
+            else:
+                gens[1 + timed.index(d.envelope)] -= 1j * k
+        static, *real = np.block([[gens.real, -gens.imag], [gens.imag, gens.real]])  # on (Re y, Im y)
+        drives = [(partial(envelope_value, env, duration=stage.duration), r) for env, r in zip(timed, real)]
 
         def rhs(t, y):
-            f = np.array([envelope_value(env, t, stage.duration) for env in envelopes])
-            return diag * y + f @ (couplings @ y)
+            m = static
+            for f, r in drives:
+                m = m + f(t) * r
+            return m @ y
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, stage.duration),
-            psi,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            dense_output=False,
-        )
-        if not sol.success:
-            raise PropagationError(f"RK cross-check failed: {sol.message}")
-        psi = sol.y[:, -1]
+        # no step cap, as in solve_ivp
+        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=np.iinfo(np.int32).max)
+        y = solver.set_initial_value(np.concatenate([psi.real, psi.imag]), 0.0).integrate(stage.duration)
+        if not solver.successful():
+            raise PropagationError(f"RK cross-check stopped at t = {solver.t} of {stage.duration}")
+        psi = y[:n] + 1j * y[n:]
     return psi

@@ -140,14 +140,19 @@ class GateParams:
 
 @dataclass(frozen=True)
 class GateProtocol:
+    """A stage plan, which fixes basis and duration, plus its readout: the
+    per-computational-state phase factor of the virtual-Z adjustments
+    (adjust) and the permutation applied before and after the gate (flank)."""
+
     variant: str
-    basis: ProductBasis
     plan: StagePlan
     ideal: np.ndarray
-    phase_adjust: tuple[tuple[int, str, float], ...]  # (atom, level, radians)
-    n_controls: int
-    params: GateParams
-    flank: np.ndarray | None = None  # ideal permutation applied before and after the gate
+    adjust: np.ndarray
+    flank: np.ndarray | None = None
+
+    @property
+    def basis(self) -> ProductBasis:
+        return self.plan.stages[0].spec.basis
 
     @property
     def n_qubits(self) -> int:
@@ -163,12 +168,12 @@ class GateReport:
     """Realized gate over the computational subspace plus error budgets.
 
     u_gate carries the Rydberg-decay amplitude damping (column norms below
-    one); rotation_matrix is u_gate with each column renormalized by its
-    surviving norm, the decomposition the result tables use.  fidelity is the
-    process fidelity of the renormalized gate (rotation and phase errors
-    only); fidelity_with_loss scores u_gate itself, so decay counts against
-    it.  Phases follow the accumulated-phase sign convention: the reported
-    argument is minus the propagator's, matching the tabulated data.
+    one, per_input_loss the lost norms, mean_loss their mean); rotation_matrix
+    is u_gate with each column renormalized by its surviving norm, as the
+    result tables use.  fidelity is the process fidelity of the renormalized
+    gate (rotation and phase errors only); fidelity_with_loss scores u_gate
+    itself, so decay counts against it.  Phases follow the tabulated,
+    accumulated-phase sign convention: the argument is minus the propagator's.
     """
 
     variant: str
@@ -177,9 +182,11 @@ class GateReport:
     fidelity: float
     fidelity_with_loss: float
     per_input_loss: np.ndarray
-    mean_loss: float
     t_bar_r: float
-    total_duration: float
+
+    @property
+    def mean_loss(self) -> float:
+        return float(np.mean(self.per_input_loss))
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +314,17 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
         stages.append(control_stage(c, -1.0))
 
     atoms = {"controls": range(n_controls), "targets": range(n_controls, basis.n_atoms)}
-    adjust = tuple((a, level, phi_pi * math.pi) for phi_pi, who, level in member.adjust for a in atoms[who])
+    bits = _bit_table(basis.n_atoms)
+    adjust = np.ones(len(bits), dtype=complex)
+    for phi_pi, who, level in member.adjust:
+        for a in atoms[who]:
+            adjust[bits[:, a] == int(level == "1")] *= np.exp(1j * (phi_pi * math.pi))
 
     return GateProtocol(
         variant=variant,
-        basis=basis,
         plan=StagePlan(tuple(stages)),
         ideal=ideal_unitary(variant, params.n_controls),
-        phase_adjust=adjust,
-        n_controls=n_controls,
-        params=params,
+        adjust=adjust,
         flank=_flank(member, n_controls) if member.flank else None,
     )
 
@@ -324,8 +332,7 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
 def two_target_plan(params: GateParams, duration: float | None = None) -> StagePlan:
     """Bare two-target exchange stage, used by the duration calibration."""
     p = params if duration is None else replace(params, duration=duration)
-    proto = make_protocol("SWAP", replace(p, v_ct=0.0, n_controls=1))
-    return proto.plan
+    return make_protocol("SWAP", replace(p, v_ct=0.0, n_controls=1)).plan
 
 
 def calibrate_duration(
@@ -387,15 +394,6 @@ def table_params(variant: str) -> GateParams:
 # Gate extraction and metrics
 
 
-def _adjust_diagonal(protocol: GateProtocol) -> np.ndarray:
-    """Per-computational-state phase factor of the virtual-Z adjustments."""
-    bits = _bit_table(protocol.n_qubits)
-    diag = np.ones(len(bits), dtype=complex)
-    for atom, level, phi in protocol.phase_adjust:
-        diag[bits[:, atom] == int(level == "1")] *= np.exp(1j * phi)
-    return diag
-
-
 def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> GateReport:
     """Propagate every computational input and assemble the gate report."""
     comp = list(protocol.basis.comp_indices)
@@ -411,7 +409,7 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
     # Accumulated-phase sign convention (resolved against the tabulated
     # exchange phase): report the conjugate of the propagator elements.
     u = np.conj(u)
-    u = _adjust_diagonal(protocol)[:, None] * u
+    u = protocol.adjust[:, None] * u
     if protocol.flank is not None:
         x = protocol.flank
         u = x @ u @ x
@@ -429,9 +427,7 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
         fidelity=process_fidelity(rotation, protocol.ideal),
         fidelity_with_loss=process_fidelity(u, protocol.ideal),
         per_input_loss=loss,
-        mean_loss=float(np.mean(loss)),
         t_bar_r=float(np.mean(t_ryd)),
-        total_duration=protocol.total_duration,
     )
 
 
@@ -507,6 +503,6 @@ def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float
     the dynamical light-shift phase the effective model predicts.
     """
     j = int("".join(map(str, input_bits)), 2)
-    column = run_gate(replace(protocol, phase_adjust=(), flank=None)).u_gate[:, j]
+    column = run_gate(replace(protocol, adjust=np.ones_like(protocol.adjust), flank=None)).u_gate[:, j]
     i = int(np.argmax(np.abs(column)))
     return wrap_phase(float(np.angle(column[i] if i == j else -column[i])))

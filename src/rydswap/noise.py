@@ -105,24 +105,35 @@ def sample_realization(
 
 @dataclass
 class MonteCarloResult:
-    mean_fidelity: float
-    std_fidelity: float
+    """Per shot, in shot order: the noise realization it ran under, its gate
+    fidelity and mean loss, and its report when reports are kept."""
+
     fidelities: np.ndarray
-    mean_loss: float
+    losses: np.ndarray
+    realizations: list[NoiseRealization]
     reports: list[GateReport] = field(default_factory=list)
+
+    @property
+    def mean_fidelity(self) -> float:
+        return float(np.mean(self.fidelities))
+
+    @property
+    def std_fidelity(self) -> float:
+        return float(np.std(self.fidelities))
+
+    @property
+    def mean_loss(self) -> float:
+        return float(np.mean(self.losses))
 
     @property
     def mean_infidelity(self) -> float:
         return 1.0 - self.mean_fidelity
 
 
-def _run_shot(protocol: GateProtocol, spec: NoiseSpec, shot: int) -> GateReport:
-    rng = shot_rng(spec.seed, shot)
-    realization = sample_realization(
-        spec, protocol.basis.n_atoms, protocol.total_duration, rng
-    )
+def _run_shot(protocol: GateProtocol, spec: NoiseSpec, shot: int) -> tuple[NoiseRealization, GateReport]:
+    realization = sample_realization(spec, protocol.basis.n_atoms, protocol.total_duration, shot_rng(spec.seed, shot))
     try:
-        return run_gate(protocol, realization)
+        return realization, run_gate(protocol, realization)
     except Exception as exc:
         raise RuntimeError(f"shot {shot} (seed {spec.seed}) failed: {exc}") from exc
 
@@ -143,15 +154,14 @@ def monte_carlo_fidelity(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_shot, [protocol] * spec.n_shots, [spec] * spec.n_shots, shots))
+            runs = list(pool.map(_run_shot, [protocol] * spec.n_shots, [spec] * spec.n_shots, shots))
     else:
-        reports = [_run_shot(protocol, spec, s) for s in shots]
+        runs = [_run_shot(protocol, spec, s) for s in shots]
 
-    fids = np.array([r.fidelity for r in reports])
+    realizations, reports = map(list, zip(*runs))
     return MonteCarloResult(
-        mean_fidelity=float(np.mean(fids)),
-        std_fidelity=float(np.std(fids)),
-        fidelities=fids,
-        mean_loss=float(np.mean([r.mean_loss for r in reports])),
+        fidelities=np.array([r.fidelity for r in reports]),
+        losses=np.array([r.mean_loss for r in reports]),
+        realizations=realizations,
         reports=reports if keep_reports else [],
     )

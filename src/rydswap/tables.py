@@ -64,10 +64,6 @@ class TablesReport:
         return [c for c in self.cells if not c.ok and c.expected_red]
 
     @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
     def text(self) -> str:
         lines = []
         for c in self.cells:
@@ -98,16 +94,12 @@ def reproduce_tables(out_dir: Path | None = None) -> TablesReport:
     if not fixtures:
         raise RuntimeError("no fixtures bundled")
     gates = sorted({f["gate"] for f in fixtures})
-    reports = {}
-    for gate in gates:
-        proto = make_protocol(gate, table_params(gate))
-        reports[gate] = (proto, run_gate(proto))
+    reports = {gate: run_gate(make_protocol(gate, table_params(gate))) for gate in gates}
 
     out = TablesReport()
     for f in fixtures:
         gate = f["gate"]
-        proto, rep = reports[gate]
-        nq = proto.n_qubits
+        rep = reports[gate]
         q = f["quantity"]
         if q == "fidelity":
             measured = rep.fidelity

@@ -251,7 +251,7 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command, preset, override, key", [
     ("noise", "fig3a_doppler", "noise.n_shots=1.5", "n_shots"),
     ("gate", "table1_swap", "gate.model=bogus", "model"),
-    ("noise", "fig3a_doppler", "noise.counter_propagating=maybe", "counter_propagating"),
+    ("noise", "fig3a_doppler", "noise.temp_uk=warm", "temp_uk"),
     ("scan", "fig4c_vscan", "scan.metric=bogus", "metric"),
     ("scan", "fig4c_vscan", "scan.parameter=bogus", "parameter"),
     ("gate", "table1_swap", "gate.sigma_ratio=0.3", "sigma_ratio"),

@@ -445,15 +445,14 @@ def test_interpolated_gate_matches_per_step_path(name, monkeypatch):
 
 def test_stage_steps_are_exact_for_a_stage_spanning_pulse():
     # 4 * resolution steps for a Gaussian stage and square_resolution for a
-    # square stage, at every duration of a fine grid
+    # square stage or a Gaussian of zero amplitude, whatever the duration
     basis = build_basis([qubit_scheme()])
     policy = StepPolicy()
-    counts = set()
-    for t in np.linspace(2.0, 10.0, 20001):
-        gauss = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", gaussian_pulse(1.0)),)))
-        square = Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", square_pulse(1.0)),)))
-        counts.add((_stage_steps(gauss, policy), _stage_steps(square, policy)))
-    assert counts == {(4 * policy.gaussian_resolution, policy.square_resolution)}
+    for t in (0.3, 2.0, 4.7259, 10.0):
+        stages = [Stage(t, HamiltonianSpec(basis, (DriveTerm(0, "0", "1", pulse),)))
+                  for pulse in (gaussian_pulse(1.0), square_pulse(1.0), gaussian_pulse(0.0))]
+        counts = [_stage_steps(stage, policy) for stage in stages]
+        assert counts == [4 * policy.gaussian_resolution, policy.square_resolution, policy.square_resolution]
 
 
 def test_three_independent_drives_take_the_steps_as_nodes():

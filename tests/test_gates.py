@@ -185,8 +185,8 @@ class TestRunGate:
         assert np.max(np.abs(u[:4, 4:])) < 1e-6
 
     def test_loss_matches_rydberg_dwell_time(self, cswap_report):
-        proto, rep = cswap_report
-        params = proto.params
+        _, rep = cswap_report
+        params = table_params("C_SWAP_CCSdag")
         t_exposed = params.duration + math.pi / params.omega_c
         analytic = 1.0 - math.exp(-t_exposed / params.lifetime)
         for j in range(4):  # control-|0> inputs

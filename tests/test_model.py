@@ -170,9 +170,9 @@ def test_global_shift_changes_only_global_phase():
     import rydswap.gates as G
 
     proto2 = G.GateProtocol(
-        variant=proto.variant, basis=proto.basis,
+        variant=proto.variant,
         plan=StagePlan((Stage(stage.duration, spec2),), proto.plan.policy),
-        ideal=proto.ideal, phase_adjust=proto.phase_adjust, n_controls=0, params=params,
+        ideal=proto.ideal, adjust=proto.adjust,
     )
     # frame removal tracks the shifted energies, so the fidelity is identical
     rep2 = run_gate(proto2)
@@ -278,7 +278,7 @@ def test_catalog_stage_block_partition(variant, control_groups, target_groups):
     else:
         params = table_params(variant)
     proto = make_protocol(variant, params)
-    n_controls = proto.n_controls
+    n_controls = {"SWAP": 0, "Ck_SWAP": 2}.get(variant, 1)
     stages = proto.plan.stages
     assert len(stages) == 2 * n_controls + 1
     for k, stage in enumerate(stages):

@@ -107,6 +107,11 @@ class TestMonteCarlo:
         serial = monte_carlo_fidelity(protocol, spec, jobs=1)
         parallel = monte_carlo_fidelity(protocol, spec, jobs=2)
         assert np.array_equal(serial.fidelities, parallel.fidelities)
+        # each result carries the realization shot i drew from its stream
+        n_atoms, duration = protocol.basis.n_atoms, protocol.total_duration
+        drawn = [sample_realization(spec, n_atoms, duration, shot_rng(spec.seed, i)) for i in range(spec.n_shots)]
+        assert serial.realizations == drawn
+        assert parallel.realizations == drawn
 
     def test_doppler_reduces_fidelity(self, protocol):
         f0 = run_gate(protocol).fidelity
