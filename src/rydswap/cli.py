@@ -355,10 +355,9 @@ def cmd_trajectory(args, cp, variant, params):
     psi0[basis.comp_indices[1 if basis.n_atoms > 1 else 0]] = 1.0
     res = propagate(protocol.plan, psi0, record_populations=True)
     header = ["t_us"] + ["".join(basis.labels_of(i)) for i in range(basis.dim)] + ["p_rydberg", "norm"]
-    rows = []
-    for k, t in enumerate(res.rydberg_times):
-        pops = res.population_traj[k]
-        rows.append([float(t)] + [float(x) for x in pops] + [float(res.rydberg_populations[k]), float(pops.sum())])
+    p_rydberg = res.population_traj @ basis.rydberg_projector_diagonal()
+    rows = [[float(t)] + [float(x) for x in pops] + [float(p), float(pops.sum())]
+            for t, pops, p in zip(res.times, res.population_traj, p_rydberg)]
     return {"trajectory.csv": _csv(header, rows)}, f"trajectory written to {Path(args.out) / 'trajectory.csv'}"
 
 

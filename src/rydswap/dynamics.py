@@ -13,7 +13,10 @@ on the distinct rows, never on assembled blocks.  The drive amplitudes are
 read at every step midpoint.  Where they are the same at every step, and
 for 1-state blocks, each distinct row is exponentiated once with ``expm``,
 its powers come by doubling and P_r is a trace against the Gram matrix of
-the initial states, with no step loop.  In any other stage a step's
+the initial states, with no step loop; only a run that records populations
+steps them, through the same loop as the other stages.  A run reports one
+Rydberg exposure, the time integral of P_r summed over its columns.  In any
+other stage a step's
 cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
 an intensity factor per noisy family), the coordinates of its drive row in
 the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -103,20 +106,20 @@ class StagePlan:
 class PropagationResult:
     """Final states plus Rydberg-exposure bookkeeping.
 
-    From propagate_matrix every field but rydberg_times has a trailing
-    column axis; propagate returns the same fields without it.  norm_loss
-    is |psi0|^2 - |psi|^2, the population lost to Rydberg decay.
-    rydberg_populations holds P_r at rydberg_times (t = 0 and the end of
-    every integrator step); time_integrated_rydberg is its trapezoid in us.
-    population_traj holds |psi|^2 per basis state at the same times when
-    populations were recorded, else None.
+    From propagate_matrix final_state, norm_loss and population_traj have a
+    trailing column axis; propagate returns them without it.  norm_loss is
+    |psi0|^2 - |psi|^2, the population lost to Rydberg decay.
+    time_integrated_rydberg is the exposure: the trapezoid in us of the
+    Rydberg population P_r summed over the columns, sampled at t = 0 and at
+    the end of every integrator step.  When populations are recorded,
+    population_traj holds |psi|^2 per basis state at those samples and times
+    their times; otherwise both are None.
     """
 
     final_state: np.ndarray
     norm_loss: np.ndarray | float
-    rydberg_times: np.ndarray
-    rydberg_populations: np.ndarray
-    time_integrated_rydberg: np.ndarray | float
+    time_integrated_rydberg: float
+    times: np.ndarray | None = None
     population_traj: np.ndarray | None = None
 
 
@@ -250,6 +253,8 @@ def propagate_matrix(
 
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
+    A stage adds dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2)
+    to the exposure, its trapezoid of P_r summed over the columns.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
@@ -258,9 +263,10 @@ def propagate_matrix(
     n_cols = cols.shape[1]
 
     ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
+    p_end = ryd @ np.sum(np.abs(cols) ** 2, axis=1)
+    exposure = 0.0
     times = [np.zeros(1)]
-    p_r = [(ryd @ np.abs(cols) ** 2)[None]]
-    pops = [np.abs(cols[None]) ** 2] if record_populations else None
+    pops = [np.abs(cols[None]) ** 2]
 
     t_offset = 0.0
     for i_stage, stage in enumerate(plan.stages):
@@ -276,7 +282,7 @@ def propagate_matrix(
         else:
             axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
-        stage_pr = np.zeros((n, n_cols))
+        p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
             n_blocks, d = group.index.shape
@@ -284,21 +290,22 @@ def propagate_matrix(
             ryd_g = ryd[group.index]
             ref = group.index[:, 0]
             phase = np.exp(-1j * dt * diag[ref])
-            if constant or not group.factor_index:
-                # block b steps by phase_b F_r, F_r = exp of its distinct rows r.  Blocks of one key (r,
-                # |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G) after k steps,
-                # with G the key's Gram matrix sum_b x_b x_b+ per column.
+            closed = constant or not group.factor_index
+            if closed:  # block b steps by phase_b F_r, F_r = exp of its distinct rows r
                 rows, first, row_of = np.unique(group.rows, axis=0, return_index=True, return_inverse=True)
                 i = group.index[first]
                 f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
                      if group.factor_index else np.ones((1, 1, 1)))
+            if closed and not record_populations:
+                # Blocks of one key (r, |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G)
+                # after k steps, with G the key's Gram matrix sum x x+ over its blocks and the columns.
                 keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
                                                     return_index=True, return_inverse=True)
-                gram = (np.equal.outer(np.arange(len(keys)), key_of) @ (psi_g.conj()[:, :, None] * psi_g[:, None])
-                        .reshape(n_blocks, -1)).reshape(len(keys), d * d, n_cols)
+                gram = np.equal.outer(np.arange(len(keys)), key_of) @ (
+                    psi_g.conj() @ np.swapaxes(psi_g, 1, 2)).reshape(n_blocks, d * d)
                 _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows, %d Gram keys",
                            i_stage, n_blocks, d, n, len(rows), len(keys))
-                chunk = max(1, _CHUNK_ELEMENTS // (len(keys) * max(d * d, n_cols)))
+                chunk = max(1, _CHUNK_ELEMENTS // (len(keys) * d * d))
                 base = f[None]  # F^1..F^chunk by doubling
                 while len(base) < min(n, chunk):
                     base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
@@ -308,37 +315,39 @@ def propagate_matrix(
                     g = f_k[:, row_of[key_first]]
                     m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(k1 - k0, -1, d * d)
                     decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
-                    stage_pr[k0:k1] += np.einsum("sk,ksc->sc", decay, np.swapaxes(m, 0, 1) @ gram).real
-                    if record_populations:  # the same powers, applied to every block
-                        sub = max(1, _CHUNK_ELEMENTS // (n_blocks * d * n_cols))
-                        for j0 in range(k0, k1, sub):
-                            j1 = min(k1, j0 + sub)
-                            decay = np.exp(np.outer(np.arange(j0 + 1, j1 + 1), 2.0 * dt * diag[ref].imag))
-                            x = f_k[j0 - k0:j1 - k0, row_of] @ psi_g
-                            stage_pops[j0:j1][:, group.index] = decay[..., None, None] * np.abs(x) ** 2
+                    p_steps += np.sum(decay * np.sum(m * gram, axis=-1)).real
                 psi_g = phase[:, None, None] ** n * (f_k[-1, row_of] @ psi_g)
             else:
-                energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
-                nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
-                gap = 0.0
-                if weights is not None:
-                    node_exps = _factor_exponentials(group, energies, nodes, dt)
-                    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
-                _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
-                           i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
-                if gap > _CHECK_TOL:
-                    raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
+                if closed:  # recorded: the exact step is the same at every step
+                    _log.debug("stage %d, blocks %dx%d: %d recorded steps, %d distinct rows",
+                               i_stage, n_blocks, d, n, len(rows))
+                    f_step = phase[:, None, None] * f[row_of]
+                    dims = [d]
+                else:
+                    energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+                    nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
+                    gap = 0.0
+                    if weights is not None:
+                        node_exps = _factor_exponentials(group, energies, nodes, dt)
+                        gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+                    _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
+                               i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
+                    if gap > _CHECK_TOL:
+                        raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
+                    dims = [len(i[0]) for i in group.factor_index]
                 # factor k acts on axis k of the block states; the factors commute, so the
                 # first goes last and writes the trajectory
-                dims = [len(i[0]) for i in group.factor_index]
                 chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
                 psi_g = psi_g.reshape(n_blocks, dims[0], -1)
                 for k0 in range(0, n, chunk):
                     k1 = min(n, k0 + chunk)
-                    exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
-                            [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
-                    us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
-                    us[0] *= phase[:, None, None]
+                    if closed:
+                        us = [np.broadcast_to(f_step, (k1 - k0, *f_step.shape))]
+                    else:
+                        exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
+                                [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
+                        us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
+                        us[0] *= phase[:, None, None]
                     steps = [(us[slot][:, :, None], (n_blocks, math.prod(dims[:slot]), dk, -1))
                              for slot, dk in enumerate(dims) if slot]
                     traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
@@ -349,28 +358,25 @@ def propagate_matrix(
                         psi_g = np.matmul(us[0][j], x, out=traj[j])
                     # P_r weights the squared real and imaginary parts, then adds them
                     sq = traj.reshape(k1 - k0, -1, n_cols).view(float) ** 2
-                    p = ryd_g.ravel() @ sq
-                    stage_pr[k0:k1] += p[..., 0::2] + p[..., 1::2]
+                    p_steps += np.sum(ryd_g.ravel() @ sq)
                     if record_populations:
                         stage_pops[k0:k1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
                             k1 - k0, n_blocks, d, n_cols)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
             cols[group.index] = psi_g.reshape(n_blocks, d, n_cols)
-        times.append(t_offset + np.arange(1, n + 1) * dt)
-        p_r.append(stage_pr)
+        p_start, p_end = p_end, ryd @ np.sum(np.abs(cols) ** 2, axis=1)
+        exposure += dt * (0.5 * p_start + p_steps - 0.5 * p_end)
         if record_populations:
+            times.append(t_offset + np.arange(1, n + 1) * dt)
             pops.append(stage_pops)
         t_offset += stage.duration
 
-    times = np.concatenate(times)
-    p_r = np.concatenate(p_r)  # (n_samples, n_cols)
     return PropagationResult(
         final_state=cols,
         norm_loss=np.maximum(0.0, norms0 - np.sum(np.abs(cols) ** 2, axis=0)),
-        rydberg_times=times,
-        rydberg_populations=p_r,
-        time_integrated_rydberg=np.trapezoid(p_r, times, axis=0),
+        time_integrated_rydberg=float(exposure),
+        times=np.concatenate(times) if record_populations else None,
         population_traj=np.concatenate(pops) if record_populations else None,
     )
 
@@ -383,14 +389,8 @@ def propagate(
 ) -> PropagationResult:
     """Propagate one state: propagate_matrix without the column axis."""
     res = propagate_matrix(plan, np.asarray(psi0)[:, None], noise, record_populations)
-    return PropagationResult(
-        final_state=res.final_state[:, 0],
-        norm_loss=float(res.norm_loss[0]),
-        rydberg_times=res.rydberg_times,
-        rydberg_populations=res.rydberg_populations[:, 0],
-        time_integrated_rydberg=float(res.time_integrated_rydberg[0]),
-        population_traj=None if res.population_traj is None else res.population_traj[..., 0],
-    )
+    return replace(res, final_state=res.final_state[:, 0], norm_loss=float(res.norm_loss[0]),
+                   population_traj=None if res.population_traj is None else res.population_traj[..., 0])
 
 
 def propagate_rk(

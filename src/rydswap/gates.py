@@ -400,7 +400,7 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
     # C order: the loss sums round by memory layout, and [:, comp] is F order
     columns = np.ascontiguousarray(np.eye(protocol.basis.dim, dtype=complex)[:, comp])
     res = propagate_matrix(protocol.plan, columns, noise)
-    loss, t_ryd = res.norm_loss, res.time_integrated_rydberg
+    loss = res.norm_loss
 
     # Interactions shift only Rydberg levels, so on the computational states
     # the static diagonal is the frame energies: remove exp(-i E_frame T).
@@ -417,7 +417,6 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
         # column, so per-input quantities follow it
         perm = np.argmax(np.abs(x), axis=0)
         loss = loss[perm]
-        t_ryd = t_ryd[perm]
 
     rotation = u / np.sqrt(np.clip(1.0 - loss, 1e-12, None))[None, :]
     return GateReport(
@@ -427,7 +426,7 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
         fidelity=process_fidelity(rotation, protocol.ideal),
         fidelity_with_loss=process_fidelity(u, protocol.ideal),
         per_input_loss=loss,
-        t_bar_r=float(np.mean(t_ryd)),
+        t_bar_r=res.time_integrated_rydberg / len(comp),
     )
 
 

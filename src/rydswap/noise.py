@@ -12,6 +12,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class DopplerSpec:
     temperature_K: float
 
     def __post_init__(self):
-        if self.temperature_K < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature_K) and self.temperature_K >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature_K!r}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class IntensitySpec:
 
     def __post_init__(self):
         for fam, w in self.relative_widths.items():
-            if w < 0:
-                raise ValueError(f"negative intensity width for {fam!r}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"intensity width for {fam!r} must be finite and >= 0, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.n_shots, numbers.Integral):
+            raise ValueError(f"n_shots must be an integer, got {self.n_shots!r}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
 
@@ -106,10 +109,9 @@ def sample_realization(
 @dataclass
 class MonteCarloResult:
     """Per shot, in shot order: the noise realization it ran under, its gate
-    fidelity and mean loss, and its report when reports are kept."""
+    fidelity, and its report (which holds the shot's losses) when reports are kept."""
 
     fidelities: np.ndarray
-    losses: np.ndarray
     realizations: list[NoiseRealization]
     reports: list[GateReport] = field(default_factory=list)
 
@@ -120,10 +122,6 @@ class MonteCarloResult:
     @property
     def std_fidelity(self) -> float:
         return float(np.std(self.fidelities))
-
-    @property
-    def mean_loss(self) -> float:
-        return float(np.mean(self.losses))
 
     @property
     def mean_infidelity(self) -> float:
@@ -161,7 +159,6 @@ def monte_carlo_fidelity(
     realizations, reports = map(list, zip(*runs))
     return MonteCarloResult(
         fidelities=np.array([r.fidelity for r in reports]),
-        losses=np.array([r.mean_loss for r in reports]),
         realizations=realizations,
         reports=reports if keep_reports else [],
     )

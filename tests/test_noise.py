@@ -38,6 +38,15 @@ class TestDopplerSigma:
             IntensitySpec({"omega1": -0.1})
         with pytest.raises(ValueError):
             NoiseSpec(n_shots=0)
+        # values that would otherwise run noiseless, fail every shot or fail in range()
+        for temperature in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DopplerSpec(temperature_K=temperature)
+        for width in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IntensitySpec({"omega2": width})
+        with pytest.raises(ValueError):
+            NoiseSpec(n_shots=2.0)
 
 
 class TestSampleRealization:
