@@ -126,14 +126,26 @@ def swap_time_estimate(omega1_max: float, delta: float) -> tuple[float, float]:
     return t_est, 0.5 * t_est
 
 
+def _check_positive(**values: float) -> None:
+    """Raise ValueError naming each value that is not positive and finite."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+
+
 def crest(f: Callable[[float], float], grid, xtol: float) -> float:
     """Best grid point of f, refined by golden section between its neighbours.
 
-    Returns the centre of the final bracket, at most xtol wide.  A ripple
-    shorter than the grid step still ends on one local maximum.  A best
-    point on an end of the grid has one neighbour, so after the whole grid
-    is evaluated it raises ValueError.
+    Returns the centre of the final bracket, at most xtol wide, or as narrow
+    as floating point makes it.  A ripple shorter than the grid step still
+    ends on one local maximum.  A best point on an end of the grid has one
+    neighbour, so after the whole grid is evaluated it raises ValueError.
+    The grid must be strictly increasing and xtol positive and finite; both
+    are checked before f is called.
     """
+    _check_positive(xtol=xtol)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("the calibration grid must be strictly increasing")
     vals = [f(x) for x in grid]
     k = int(np.argmax(vals))
     if k in (0, len(grid) - 1):
@@ -145,6 +157,7 @@ def crest(f: Callable[[float], float], grid, xtol: float) -> float:
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     while hi - lo > xtol:
+        width = hi - lo
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
@@ -153,6 +166,8 @@ def crest(f: Callable[[float], float], grid, xtol: float) -> float:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
             f1 = f(x1)
+        if hi - lo >= width:  # the bracket is down to float spacing
+            break
     return float(0.5 * (lo + hi))
 
 
@@ -180,10 +195,13 @@ def calibrate_swap_time(
     sign changes between 2.320 and 2.326 us at the sqrt_iSWAP point), so the
     crossing returned is whichever one brentq's bracket path meets, not
     necessarily the first.  Only this mode imports brentq (scipy.optimize),
-    on its first call.
+    on its first call.  A bracket that is not positive and increasing, or a
+    t_seed or xtol that is not positive and finite, raises ValueError before
+    any propagation.
     """
-    if t_seed <= 0:
-        raise ValueError("seed must be positive")
+    _check_positive(t_seed=t_seed, xtol=xtol)
+    if not 0 < bracket[0] < bracket[1]:
+        raise ValueError(f"bracket must be increasing and positive, got {bracket!r}")
 
     def amplitude(t: float) -> float:
         res = propagate(plan_for_duration(t), psi_in)

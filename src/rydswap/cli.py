@@ -294,7 +294,8 @@ def cmd_calibrate(args, cp, variant, params):
     basis = plan_factory(1.0).stages[0].spec.basis
     psi_in = basis.basis_state(("0", "1"))
     out_index = basis.index_of(("1", "0"))
-    target = 1.0 / math.sqrt(2.0) if variant == "sqrt_iSWAP" else None
+    transfer = abs(_member(variant, params.n_controls)[0].exchange[2][1])  # |<10|E|01>|
+    target = transfer if transfer < 1 else None
     seed = t_half if target is None else t_half / 2.0
     t_transfer = calibrate_swap_time(plan_factory, psi_in, out_index, seed, transfer_target=target)
     result = {

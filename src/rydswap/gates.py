@@ -11,9 +11,10 @@ read out in the interaction picture of the static frame (the deterministic
 diagonal frame phases are removed) before the tabulated single-qubit phase
 adjustments are applied.
 
-Each member of the family is one catalog row (``_Member``); its ideal
-permutation, interaction graph, control pulses and collective truncation
-are all derived from that row.
+Each member of the family is one catalog row (``_Member``); its ideal gate
+(the row's exchange block applied to each reading's routed target pair),
+interaction graph, control pulses and collective truncation are all
+derived from that row.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import crest, wrap_phase
+from .analytic import _check_positive, crest, wrap_phase
 from .basis import ProductBasis, build_basis, qubit_scheme
 from .dynamics import Stage, StagePlan, propagate_matrix
 from .model import (
@@ -39,6 +40,12 @@ from .model import (
 
 TWO_PI = 2.0 * math.pi
 
+_SQ = 1.0 / math.sqrt(2.0)
+_SWAP = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+_ISWAP = ((1, 0, 0, 0), (0, 0, 1j, 0), (0, 1j, 0, 0), (0, 0, 0, 1))
+_SQRT_ISWAP = ((1, 0, 0, 0), (0, _SQ, 1j * _SQ, 0), (0, 1j * _SQ, _SQ, 0), (0, 0, 0, 1))
+_SWAP_CCSDAG = _SWAP[:3] + ((0, 0, 0, np.exp(-0.5j * math.pi)),)  # SWAP with the CCS+ phase on |11>
+
 
 @dataclass(frozen=True)
 class _Member:
@@ -50,14 +57,15 @@ class _Member:
     levels[c] is the Rydberg level reading c is pulsed to, or None; through
     v_ct it blocks every target outside route c.  The blockade pairs are the
     target pairs within one blockade radius: they interact through v_tt and
-    form the collective truncation.
+    form the collective truncation.  exchange is the 4x4 gate applied to the
+    routed pair, in (|00>, |01>, |10>, |11>) order.
     """
 
     n_targets: int = 2
     routes: tuple = ((0, 1),)
     levels: tuple = ()
     blockade: tuple = ((0, 1),)
-    iswap: bool = False  # the exchange carries a factor i
+    exchange: tuple = _SWAP
     adjust: tuple = ()  # final virtual-Z adjustments, (phase/pi, who, level)
     flank: tuple = ()  # targets bit-flipped before and after the exchange
     k_controls: bool = False  # GateParams.n_controls sets the number of controls
@@ -69,12 +77,13 @@ class _Member:
 # global phase.
 _CATALOG = {
     "SWAP": _Member(adjust=((-0.2971, "targets", "1"),)),
-    "iSWAP": _Member(iswap=True, adjust=((-0.5, "targets", "1"),)),
-    "sqrt_iSWAP": _Member(),
+    "iSWAP": _Member(exchange=_ISWAP, adjust=((-0.5, "targets", "1"),)),
+    "sqrt_iSWAP": _Member(exchange=_SQRT_ISWAP),
     "bSWAP": _Member(adjust=((-0.2971, "targets", "1"),), flank=(1,)),
-    "C_iSWAP": _Member(routes=(None, (0, 1)), levels=("r", None), iswap=True,
+    "C_iSWAP": _Member(routes=(None, (0, 1)), levels=("r", None), exchange=_ISWAP,
                        adjust=((-0.5, "targets", "1"), (-0.5, "controls", "0"))),
-    "C_SWAP_CCSdag": _Member(routes=(None, (0, 1)), levels=("r", None), adjust=((-0.5, "controls", "0"),)),
+    "C_SWAP_CCSdag": _Member(routes=(None, (0, 1)), levels=("r", None), exchange=_SWAP_CCSDAG,
+                             adjust=((-0.5, "controls", "0"),)),
     "Ck_SWAP": _Member(routes=(None, (0, 1)), levels=("r", None), adjust=((-0.5, "controls", "0"),),
                        k_controls=True),
     "MUX_SWAP_4T": _Member(4, routes=((0, 1), (2, 3)), levels=("rP", "rD"), blockade=((0, 1), (2, 3))),
@@ -99,6 +108,7 @@ class GateParams:
     k (at least 1); every other variant takes only 1.  lifetime None means
     no decay.  v_tt shifts only doubly-excited target pairs, which the
     collective model projects out, so that model takes only the default.
+    Every frequency, shift and duration must be finite.
     """
 
     omega1_max: float
@@ -117,6 +127,9 @@ class GateParams:
             raise ValueError(f"model must be 'collective' or 'full', got {self.model!r}")
         if not isinstance(self.n_controls, numbers.Integral):
             raise ValueError(f"n_controls must be an integer, got {self.n_controls!r}")
+        for name in ("omega1_max", "omega2", "delta", "duration", "v_tt", "v_ct"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration!r}")
         if self.lifetime is not None and not self.lifetime > 0:
@@ -142,7 +155,8 @@ class GateParams:
 class GateProtocol:
     """A stage plan, which fixes basis and duration, plus its readout: the
     per-computational-state phase factor of the virtual-Z adjustments
-    (adjust) and the permutation applied before and after the gate (flank)."""
+    (adjust) and the computational-state index permutation applied before
+    and after the gate (flank)."""
 
     variant: str
     plan: StagePlan
@@ -198,17 +212,16 @@ def _bit_table(n_qubits: int) -> np.ndarray:
     return (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits - 1, -1, -1)) & 1
 
 
-def _permutation_ideal(n_qubits: int, mapper) -> np.ndarray:
-    """Ideal unitary from a bit-tuple mapper: bits -> (bits_out, amplitude)."""
-    n = 2**n_qubits
-    u = np.zeros((n, n), dtype=complex)
-    for j, bits in enumerate(_bit_table(n_qubits).tolist()):
-        bits_out, amp = mapper(tuple(bits))
-        i = 0
-        for b in bits_out:
-            i = (i << 1) | b
-        u[i, j] = amp
-    return u
+def _bit_weights(n_qubits: int) -> np.ndarray:
+    """Weight of each qubit's bit in a computational-state index."""
+    return 1 << np.arange(n_qubits - 1, -1, -1)
+
+
+def _state_index(bits: tuple[int, ...], n_qubits: int) -> int:
+    """Index of the leading qubits' bit tuple among its 2**len(bits) values."""
+    if len(bits) > n_qubits or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"expected at most {n_qubits} bits, each 0 or 1, got {bits!r}")
+    return int(_bit_weights(len(bits)) @ np.array(bits, dtype=int))
 
 
 def _member(variant: str, n_controls: int) -> tuple[_Member, int]:
@@ -222,34 +235,31 @@ def _member(variant: str, n_controls: int) -> tuple[_Member, int]:
 
 
 def _flank(member: _Member, k: int) -> np.ndarray:
-    """Permutation that flips the bits of the flank targets."""
-    flip = {k + t for t in member.flank}
-    return _permutation_ideal(k + member.n_targets, lambda b: (tuple(x ^ (q in flip) for q, x in enumerate(b)), 1.0))
+    """Index permutation that flips the bits of the flank targets (an involution)."""
+    bits = _bit_table(k + member.n_targets)
+    bits[:, [k + t for t in member.flank]] ^= 1
+    return bits @ _bit_weights(bits.shape[1])
 
 
 def ideal_unitary(variant: str, n_controls: int = 1) -> np.ndarray:
     member, k = _member(variant, n_controls)
-    if variant == "sqrt_iSWAP":
-        u = np.eye(4, dtype=complex)
-        u[1, 1] = u[2, 2] = 1.0 / math.sqrt(2.0)
-        u[1, 2] = u[2, 1] = 1j / math.sqrt(2.0)
-        return u
-
-    def mapper(bits):
+    n = k + member.n_targets
+    weights = _bit_weights(n).tolist()
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    for j, bits in enumerate(_bit_table(n).tolist()):
         route = member.routes[int(all(bits[:k])) if k else 0]
         if route is None:
-            return bits, 1.0
-        i, j = k + route[0], k + route[1]
-        out = list(bits)
-        out[i], out[j] = bits[j], bits[i]
-        return tuple(out), (1j if member.iswap and bits[i] != bits[j] else 1.0)
-
-    u = _permutation_ideal(k + member.n_targets, mapper)
-    if variant == "C_SWAP_CCSdag":
-        u[7, 7] *= np.exp(-0.5j * math.pi)
+            u[j, j] = 1.0
+            continue
+        wa, wb = weights[k + route[0]], weights[k + route[1]]
+        a, b = bits[k + route[0]], bits[k + route[1]]
+        base = j - a * wa - b * wb  # this column with the pair at |00>
+        for row, e in enumerate(member.exchange):
+            if e[2 * a + b]:  # u starts at zero
+                u[base + (row >> 1) * wa + (row & 1) * wb, j] = e[2 * a + b]
     if member.flank:
         x = _flank(member, k)
-        u = x @ u @ x
+        u = u[np.ix_(x, x)]
     return u
 
 
@@ -351,8 +361,11 @@ def calibrate_duration(
     transfer-calibrated duration and keep the window inside one crest
     spacing of it.  ``crest`` takes the best point of a grid spaced coarse
     over the window and refines between its neighbours down to fine; a best
-    point on the grid's end raises ValueError.
+    point on the grid's end raises ValueError, as does a half_width or
+    coarse that is not positive and finite, before any gate runs.
     """
+    _check_positive(half_width=half_width, coarse=coarse)
+
     def fid(t: float) -> float:
         return run_gate(make_protocol(variant, replace(params, duration=float(t)))).fidelity
 
@@ -411,12 +424,10 @@ def run_gate(protocol: GateProtocol, noise: NoiseRealization | None = None) -> G
     u = np.conj(u)
     u = protocol.adjust[:, None] * u
     if protocol.flank is not None:
+        # the flank relabels which physical input feeds each column, so
+        # per-input quantities follow it
         x = protocol.flank
-        u = x @ u @ x
-        # the flanking permutation relabels which physical input feeds each
-        # column, so per-input quantities follow it
-        perm = np.argmax(np.abs(x), axis=0)
-        loss = loss[perm]
+        u, loss = u[np.ix_(x, x)], loss[x]
 
     rotation = u / np.sqrt(np.clip(1.0 - loss, 1e-12, None))[None, :]
     return GateReport(
@@ -483,10 +494,13 @@ def conditional_rotation_fidelity(
     """Rotation fidelity of the block conditioned on a control configuration.
 
     Uses the decay-renormalized matrix: routing quality is scored separately
-    from the Rydberg-loss budget.
+    from the Rydberg-loss budget.  control_bits are the leading qubits'
+    bits; more bits than qubits, or an entry other than 0 or 1, raises
+    ValueError.
     """
-    bits = _bit_table(protocol.n_qubits)
-    sel = np.flatnonzero((bits[:, :len(control_bits)] == control_bits).all(axis=1))
+    free = protocol.n_qubits - len(control_bits)  # qubits after the controls
+    start = _state_index(control_bits, protocol.n_qubits) << free
+    sel = np.arange(start, start + (1 << free))
     sub = report.rotation_matrix[np.ix_(sel, sel)]
     ideal_sub = protocol.ideal[np.ix_(sel, sel)]
     return rotation_fidelity(sub, ideal_sub)
@@ -500,8 +514,11 @@ def acquired_phase(protocol: GateProtocol, input_bits: tuple[int, ...]) -> float
     phases removed, accumulated-phase sign) at its dominant element, with
     the pi rotation sign of a completed exchange divided out.  This isolates
     the dynamical light-shift phase the effective model predicts.
+    input_bits needs one entry, 0 or 1, per qubit (ValueError otherwise).
     """
-    j = int("".join(map(str, input_bits)), 2)
+    if len(input_bits) != protocol.n_qubits:
+        raise ValueError(f"input_bits needs {protocol.n_qubits} bits, got {input_bits!r}")
+    j = _state_index(input_bits, protocol.n_qubits)
     column = run_gate(replace(protocol, adjust=np.ones_like(protocol.adjust), flank=None)).u_gate[:, j]
     i = int(np.argmax(np.abs(column)))
     return wrap_phase(float(np.angle(column[i] if i == j else -column[i])))

@@ -61,6 +61,9 @@ class NoiseSpec:
             raise ValueError(f"n_shots must be an integer, got {self.n_shots!r}")
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
+        # a Philox key word is an unsigned 64-bit integer
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def doppler_sigma(spec: DopplerSpec) -> float:

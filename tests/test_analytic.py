@@ -119,6 +119,17 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_swap_time(lambda t: None, np.zeros(2), 0, -1.0)
 
+    @pytest.mark.parametrize("target", [None, 0.7])
+    @pytest.mark.parametrize("kwargs, name", [({"bracket": (1.5, 0.7)}, "bracket"),
+                                              ({"bracket": (0.0, 1.5)}, "bracket"),
+                                              ({"xtol": 0.0}, "xtol"), ({"xtol": math.nan}, "xtol")])
+    def test_rejects_a_search_it_cannot_honour_before_propagating(self, target, kwargs, name):
+        def no_plan(t):
+            raise AssertionError("no propagation may run")
+
+        with pytest.raises(ValueError, match=name):
+            calibrate_swap_time(no_plan, np.zeros(2), 0, 4.7, transfer_target=target, **kwargs)
+
     def test_amplitude_rising_to_the_bracket_end_is_rejected(self):
         # well below the exchange time the transfer amplitude still rises,
         # so the best grid point is the bracket's upper end
@@ -161,6 +172,37 @@ class TestCrest:
             crest(lambda t: calls.append(t) or sign * t, grid, 1e-6)
         assert calls == list(grid)
         assert int(np.argmax([sign * t for t in grid])) == k_end
+
+    @staticmethod
+    def bounded(f, calls, limit=500):
+        """f, recording its arguments, that raises once called limit times."""
+        def g(x):
+            calls.append(x)
+            if len(calls) > limit:
+                raise RuntimeError("the search did not stop")
+            return f(x)
+        return g
+
+    @pytest.mark.parametrize("xtol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_an_xtol_it_cannot_meet(self, xtol):
+        calls = []
+        with pytest.raises(ValueError, match="xtol"):
+            crest(self.bounded(self.f, calls), np.linspace(0.0, 1.0, 21), xtol)
+        assert calls == []
+
+    @pytest.mark.parametrize("grid", [np.linspace(1.0, 0.0, 21), np.array([0.0, 0.5, 0.5, 1.0])])
+    def test_rejects_a_grid_that_is_not_increasing(self, grid):
+        calls = []
+        with pytest.raises(ValueError, match="increasing"):
+            crest(self.bounded(self.f, calls), grid, 1e-6)
+        assert calls == []
+
+    @pytest.mark.parametrize("xtol", [1e-16, 1e-20, 5e-324])
+    def test_stops_at_float_spacing(self, xtol):
+        # a bracket near 4.7 cannot shrink below about 9e-16
+        calls = []
+        x = crest(self.bounded(lambda x: -((x - 4.7) ** 2), calls), np.linspace(4.5, 4.9, 21), xtol)
+        assert x == pytest.approx(4.7, abs=1e-7)
 
 
 class TestPredictPhases:

@@ -269,11 +269,19 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
     ("gate", "table1_cswap", "gate.omega_c_mhz=10", "omega_c_mhz"),
     ("scan", "fig4c_vscan", "scan.metric=rotation_fidelity", "metric"),
     ("noise", "fig3bc_intensity", "noise.update_interval_us=0.01", "update_interval_us"),
+    ("noise", "fig3a_doppler", "scenario.seed=-1", "seed"),
 ])
 def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, command, preset, override, key):
     rc = run_cli([command, "--preset", preset] + _SMALL[command] + ["--set", override, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    rc = run_cli(["noise", "--preset", "fig3a_doppler", "--seed", "-1"] + _SMALL["noise"]
+                 + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
 
 
 # a perturbed value of every [gate] key but variant, against table1_cswap

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from rydswap import gates
 from rydswap.gates import (
@@ -59,6 +60,29 @@ class TestIdealUnitaries:
         u = ideal_unitary("C_SWAP_CCSdag")
         assert u[7, 7] == pytest.approx(np.exp(-0.5j * math.pi))
         assert u[6, 5] == 1.0 and u[1, 1] == 1.0
+
+    @pytest.mark.parametrize("variant, k", [(v, 1) for v in VARIANTS] + [("Ck_SWAP", 2), ("Ck_SWAP", 3)])
+    def test_full_ideal_matches_an_independent_construction(self, variant, k):
+        eye = lambda n: np.eye(n, dtype=complex)
+        swap = eye(4)[[0, 2, 1, 3]]
+        iswap = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+        h = 1 / math.sqrt(2)
+        sqrt_iswap = np.array([[1, 0, 0, 0], [0, h, 1j * h, 0], [0, 1j * h, h, 0], [0, 0, 0, 1]])
+        flip_t2 = np.kron(eye(2), eye(2)[::-1])
+        # qubit 0 <-> qubit 2 of three: transpose the row index's qubit axes
+        swap_t1_t3 = eye(8).reshape(2, 2, 2, 8).transpose(2, 1, 0, 3).reshape(8, 8)
+        expected = {
+            "SWAP": swap,
+            "iSWAP": iswap,
+            "sqrt_iSWAP": sqrt_iswap,
+            "bSWAP": flip_t2 @ swap @ flip_t2,
+            "C_iSWAP": block_diag(eye(4), iswap),
+            "C_SWAP_CCSdag": block_diag(eye(4), np.diag([1, 1, 1, np.exp(-0.5j * math.pi)]) @ swap),
+            "Ck_SWAP": block_diag(eye(4 * (2**k - 1)), swap),
+            "MUX_SWAP_4T": block_diag(np.kron(swap, eye(4)), np.kron(eye(4), swap)),
+            "MUX_SWAP_3T": block_diag(np.kron(swap, eye(2)), swap_t1_t3),
+        }[variant]
+        assert np.array_equal(ideal_unitary(variant, k), expected)
 
     def test_mux_routing_structure(self):
         u4 = ideal_unitary("MUX_SWAP_4T")
@@ -122,6 +146,13 @@ class TestProtocolConstruction:
     def test_n_controls_honoured_or_rejected(self, variant, k):
         with pytest.raises(ValueError, match="n_controls"):
             make_protocol(variant, replace(table_params("C_SWAP_CCSdag"), n_controls=k))
+
+    @pytest.mark.parametrize("name", ["omega1_max", "omega2", "delta", "duration", "v_tt", "v_ct"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        # the full model, so that v_tt is not rejected for leaving its default
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(table_params("C_SWAP_CCSdag"), model="full", **{name: value})
 
     def test_two_target_plan_from_multi_control_params(self):
         # the duration calibration of a C_k-SWAP operating point runs the bare pair
@@ -252,6 +283,29 @@ def test_conditional_rotation_fidelity_identity(cswap_report):
     f1 = conditional_rotation_fidelity(rep, proto, (1,))
     assert 0.99 < f0 <= 1.0
     assert 0.99 < f1 <= 1.0
+
+
+@pytest.mark.parametrize("bits", [(2,), (0, -1), (1, 0, 0, 1)])
+def test_conditional_rotation_fidelity_rejects_bits_naming_no_state(cswap_report, bits):
+    proto, rep = cswap_report
+    with pytest.raises(ValueError, match="bits"):
+        conditional_rotation_fidelity(rep, proto, bits)
+
+
+@pytest.mark.parametrize("bits", [(1,), (0, 1, 1), (0, 2)])
+def test_acquired_phase_rejects_bits_naming_no_state(swap_report, bits):
+    proto, _ = swap_report
+    with pytest.raises(ValueError, match="bits"):
+        acquired_phase(proto, bits)
+
+
+@pytest.mark.parametrize("half_width, coarse, name", [(-1e-3, 2e-3, "half_width"), (0.0, 2e-3, "half_width"),
+                                                      (0.03, -1e-3, "coarse"), (0.03, 0.0, "coarse"),
+                                                      (0.03, math.nan, "coarse")])
+def test_calibrate_duration_rejects_a_window_it_cannot_search(monkeypatch, half_width, coarse, name):
+    monkeypatch.setattr(gates, "run_gate", None)  # no gate may run
+    with pytest.raises(ValueError, match=name):
+        calibrate_duration("SWAP", table_params("SWAP"), 4.68, half_width=half_width, coarse=coarse)
 
 
 def test_calibrate_duration_rejects_a_maximum_on_the_window_edge():

@@ -48,6 +48,16 @@ class TestDopplerSigma:
         with pytest.raises(ValueError):
             NoiseSpec(n_shots=2.0)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, 2**64, 2**70, "3"])
+    def test_seed_outside_the_philox_key_range_rejected(self, seed):
+        # 1.5 would draw seed 1's shots, -1 would wrap, 2**64 fails every shot
+        with pytest.raises(ValueError, match="seed"):
+            NoiseSpec(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert NoiseSpec(seed=seed).seed == seed
+
 
 class TestSampleRealization:
     def test_fixed_seed_bit_identical(self):
