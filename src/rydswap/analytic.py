@@ -36,20 +36,18 @@ def wrap_phase(x: float) -> float:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Effective-model constants and eigensystem, all in rad/us.
+    """Effective-model constants A, B and C, the exchange rate omega_eff =
+    A^2/(B - C) and the lower dressed eigenvalue lam_minus, all in rad/us.
 
-    Eigenvectors are expressed in the ordered basis (|01>, |10>, |1r~>).
+    lam_minus is the lower eigenvalue of the coupled block on (symmetric
+    exchange state, |1r~>); the antisymmetric state's eigenvalue is C.
     """
 
     a: float
     b: float
     c: float
     omega_eff: float
-    lam0: float
     lam_minus: float
-    lam_plus: float
-    eigvec_minus: np.ndarray
-    eigvec_plus: np.ndarray
 
 
 def effective_params(omega1: float, omega2: float, delta: float, v: float) -> EffectiveParams:
@@ -70,29 +68,13 @@ def effective_params(omega1: float, omega2: float, delta: float, v: float) -> Ef
 
     root = math.sqrt(8.0 * a**2 + (b - c) ** 2)
     lam_minus = 0.5 * (b + c - root)
-    lam_plus = 0.5 * (b + c + root)
-
-    def _vec(lam: float) -> np.ndarray:
-        # (A, A, lam - C) over (|01>, |10>, |1r~>); the coupled block is
-        # [[C, A], [2A, B]] on (symmetric, |1r~>) coordinates, so this is the
-        # exact eigenvector and the pair comes out orthogonal
-        vec = np.array([a, a, lam - c], dtype=float)
-        n = np.linalg.norm(vec)
-        if n == 0.0:
-            vec = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-            return vec
-        return vec / n
 
     return EffectiveParams(
         a=a,
         b=b,
         c=c,
         omega_eff=omega_eff,
-        lam0=c,
         lam_minus=lam_minus,
-        lam_plus=lam_plus,
-        eigvec_minus=_vec(lam_minus),
-        eigvec_plus=_vec(lam_plus),
     )
 
 
@@ -238,7 +220,6 @@ class PhasePrediction:
     phi_1c01: float
     phi_rc00: float
     phi_rc11: float
-    phi_1c11: float
 
 
 def predict_phases(omega2: float, delta: float, v: float, t_gate: float) -> PhasePrediction:
@@ -252,5 +233,4 @@ def predict_phases(omega2: float, delta: float, v: float, t_gate: float) -> Phas
         phi_1c01=wrap_phase(x_0),
         phi_rc00=wrap_phase(-1.5 * math.pi),
         phi_rc11=wrap_phase(3.0 * math.pi + 2.0 * x_v),
-        phi_1c11=wrap_phase(3.0 * math.pi + 2.0 * x_0),
     )

@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -203,7 +203,8 @@ def _protocol(variant: str, params: GateParams) -> GateProtocol:
         raise _rejected("gate", exc, [f.name for f in fields(GateParams)]) from None
 
 
-def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
+def _noise_spec(cp: configparser.ConfigParser) -> NoiseSpec:
+    """The [noise] spec, seeded by [scenario] seed (default 0); a rejected seed is reported under [scenario]."""
     if not cp.has_section("noise"):
         raise ConfigError("noise scenario needs a [noise] section")
     parts = {"doppler": {}, "widths": {}, "noise": {}}
@@ -212,7 +213,11 @@ def _noise_spec(cp: configparser.ConfigParser, seed: int) -> NoiseSpec:
         parts[part][name] = value
     doppler = _build(DopplerSpec, "noise", parts["doppler"]) if parts["doppler"] else None
     intensity = _build(IntensitySpec, "noise", {}, relative_widths=parts["widths"]) if parts["widths"] else None
-    return _build(NoiseSpec, "noise", parts["noise"], doppler=doppler, intensity=intensity, seed=seed)
+    spec = _build(NoiseSpec, "noise", parts["noise"], doppler=doppler, intensity=intensity)
+    try:
+        return replace(spec, seed=_read(cp, "scenario").get("seed", spec.seed))
+    except ValueError as exc:
+        raise _rejected("scenario", exc, ["seed"]) from None
 
 
 def _fmt(x: float) -> str:
@@ -234,7 +239,6 @@ def _json(d: dict) -> str:
 def _params_echo(variant: str, params: GateParams) -> dict:
     d = asdict(params)
     d["variant"] = variant
-    d.pop("interaction_overrides", None)
     return {k: (v if not isinstance(v, float) else float(f"{v:.12g}")) for k, v in d.items()}
 
 
@@ -323,8 +327,7 @@ def cmd_scan(args, cp, variant, params):
 
 def cmd_noise(args, cp, variant, params):
     """Monte Carlo run: one noise.csv row per shot, read from the realization that shot ran under."""
-    seed = args.seed if args.seed is not None else _read(cp, "scenario").get("seed", 0)
-    spec = _noise_spec(cp, seed)
+    spec = _noise_spec(cp)
     result = monte_carlo_fidelity(_protocol(variant, params), spec, jobs=args.jobs)
     rows = []
     for i, (f, real) in enumerate(zip(result.fidelities, result.realizations)):
@@ -371,11 +374,13 @@ def cmd_tables(args) -> int:
 
 
 def _load(args) -> configparser.ConfigParser:
+    """The config of --preset or --config with the --set overrides, then --seed as scenario.seed."""
+    overrides = (args.set or []) + ([f"scenario.seed={args.seed}"] if getattr(args, "seed", None) is not None else [])
     if args.preset:
         with resources.as_file(preset_path(args.preset)) as p:
-            cp = _parse_config(p, args.set or [])
+            cp = _parse_config(p, overrides)
     elif args.config or args.set:
-        cp = _parse_config(Path(args.config) if args.config else None, args.set or [])
+        cp = _parse_config(Path(args.config) if args.config else None, overrides)
     else:
         raise ConfigError("provide --config, --preset or --set overrides")
     kind = _read(cp, "scenario").get("kind", args.command)
@@ -434,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate_command("scan", cmd_scan, "one-parameter scan")
     p = gate_command("noise", cmd_noise, "Monte Carlo noise run")
     p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: [scenario] seed, else 0)")
+                   help="RNG seed; overrides [scenario] seed (default 0)")
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for shots (at least 1)")
     gate_command("trajectory", cmd_trajectory, "dump a population trajectory")
 

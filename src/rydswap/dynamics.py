@@ -88,8 +88,8 @@ class Stage:
     spec: HamiltonianSpec
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("stage duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"stage duration must be positive and finite, got {self.duration!r}")
 
 
 @dataclass(frozen=True)

@@ -101,14 +101,12 @@ VARIANTS = tuple(_CATALOG)
 class GateParams:
     """Physical knobs of a gate protocol, angular frequencies in rad/us.
 
-    Controls interact with each other through |v_ct| (close-packed
-    multi-control geometry); the interaction_overrides mapping replaces
-    individual graph entries, keyed (atom_i, level_i, atom_j, level_j) ->
-    shift, for user-supplied anisotropic couplings.  n_controls is Ck_SWAP's
-    k (at least 1); every other variant takes only 1.  lifetime None means
-    no decay.  v_tt shifts only doubly-excited target pairs, which the
-    collective model projects out, so that model takes only the default.
-    Every frequency, shift and duration must be finite.
+    Every field has a [gate] config key.  Controls interact with each other
+    through |v_ct| (close-packed multi-control geometry).  n_controls is
+    Ck_SWAP's k (at least 1); every other variant takes only 1.  lifetime
+    None means no decay.  v_tt shifts only doubly-excited target pairs,
+    which the collective model projects out, so that model takes only the
+    default.  Every frequency, shift and duration must be finite.
     """
 
     omega1_max: float
@@ -119,7 +117,6 @@ class GateParams:
     v_ct: float = 0.0
     lifetime: float | None = 400.0
     n_controls: int = 1
-    interaction_overrides: dict | None = None
     model: str = "collective"
 
     def __post_init__(self):
@@ -279,8 +276,6 @@ def _interaction_graph(member: _Member, params: GateParams, n_controls: int) -> 
         for c2 in range(c1 + 1, n_controls):
             for level in filter(None, member.levels):
                 entries[(c1, level, c2, level)] = abs(params.v_ct)
-    if params.interaction_overrides:
-        entries.update(params.interaction_overrides)
     return InteractionGraph.from_dict(entries)
 
 
@@ -296,7 +291,7 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
     basis = build_basis([control_scheme] * n_controls + [target_scheme] * member.n_targets)
 
     interactions = _interaction_graph(member, params, n_controls)
-    frame = standard_target_frame(basis, params.delta, atoms=range(n_controls, basis.n_atoms))
+    frame = standard_target_frame(params.delta, range(n_controls, basis.n_atoms))
     t_pi = params.control_pi_time
     pairs = ()
     if params.model == "collective":
@@ -361,10 +356,10 @@ def calibrate_duration(
     transfer-calibrated duration and keep the window inside one crest
     spacing of it.  ``crest`` takes the best point of a grid spaced coarse
     over the window and refines between its neighbours down to fine; a best
-    point on the grid's end raises ValueError, as does a half_width or
-    coarse that is not positive and finite, before any gate runs.
+    point on the grid's end raises ValueError, as does a t_seed, half_width
+    or coarse that is not positive and finite, before any gate runs.
     """
-    _check_positive(half_width=half_width, coarse=coarse)
+    _check_positive(t_seed=t_seed, half_width=half_width, coarse=coarse)
 
     def fid(t: float) -> float:
         return run_gate(make_protocol(variant, replace(params, duration=float(t)))).fidelity

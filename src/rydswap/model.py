@@ -375,8 +375,8 @@ class HamiltonianEvaluator:
         return f
 
 
-def standard_target_frame(basis: ProductBasis, delta: float, atoms=None) -> tuple[tuple[int, str, float], ...]:
-    """Frame detunings placing each target's |1> at +delta.
+def standard_target_frame(delta: float, atoms) -> tuple[tuple[int, str, float], ...]:
+    """Frame detunings placing the |1> of each target in atoms at +delta.
 
     Per-atom assignment E(|0>) = 0, E(|1>) = delta, E(|r>) = 0: the microwave
     0<->1 drive is red-detuned by delta, the optical 1<->r drive blue-detuned
@@ -384,6 +384,4 @@ def standard_target_frame(basis: ProductBasis, delta: float, atoms=None) -> tupl
     two-target energies then reproduce the (+delta, 0, -delta) ladder of the
     rotating-frame model up to a global shift of delta.
     """
-    if atoms is None:
-        atoms = range(basis.n_atoms)
     return tuple((a, "1", delta) for a in atoms)

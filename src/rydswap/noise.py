@@ -148,8 +148,16 @@ def monte_carlo_fidelity(
     """Average the gate fidelity over independent noise shots.
 
     Shot i draws from the Philox stream (seed, i), so results are identical
-    whether shots run serially or across a process pool.
+    whether shots run serially or across a process pool.  An intensity width
+    for a family that no drive of the protocol carries raises ValueError
+    before any shot runs.
     """
+    if spec.intensity is not None:
+        carried = {d.family for stage in protocol.plan.stages for d in stage.spec.drives}
+        unknown = sorted(set(spec.intensity.relative_widths) - carried)
+        if unknown:
+            raise ValueError(f"no drive of {protocol.variant} carries the intensity families {unknown} "
+                             f"(drive families: {sorted(carried)})")
     shots = range(spec.n_shots)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -368,7 +368,7 @@ def test_criterion_7_oracle_suite(table_runs):
         for l, u, amp, f in (("0", "1", om1, "omega1"), ("1", "r", p.omega2, "omega2"))
     )
     spec = HamiltonianSpec(basis, drives, InteractionGraph(),
-                           standard_target_frame(basis, p.delta), ((0, 1),))
+                           standard_target_frame(p.delta, (0, 1)), ((0, 1),))
     res = propagate(StagePlan((Stage(t_run, spec),)), basis.basis_state(("0", "1")),
                     record_populations=True)
     p10 = res.population_traj[:, basis.index_of(("1", "0"))]
@@ -381,7 +381,7 @@ def test_criterion_7_oracle_suite(table_runs):
     # (b) degenerate blocking for the conditional-exchange operating point
     pc = table_params("C_SWAP_CCSdag")
     epc = effective_params(pc.omega1_max, pc.omega2, pc.delta, pc.v_ct)
-    gap = abs(epc.lam_minus - epc.lam0)
+    gap = abs(epc.lam_minus - epc.c)
     _, rep = runs["C_SWAP_CCSdag"]
     blocked = abs(rep.u_gate[2, 1]) ** 2
 
@@ -553,9 +553,16 @@ def test_criterion_10_multicontrol_and_symmetric_pathway(mux_params):
         i = labels.index((str(cbits[0]), str(cbits[1]), "1", "0"))
         transfers.append(abs(rep.u_gate[i, j]) ** 2)
 
-    # blockading exactly one target of the active pair kills the exchange
-    p_single = replace(pc, interaction_overrides={(0, "r", 2, "r"): 0.0})
-    rep_single = run_gate(make_protocol("C_SWAP_CCSdag", p_single))
+    # blockading exactly one target of the active pair kills the exchange:
+    # the control's shift on the second target is set to zero in every stage
+    def one_target_blockade(stage: Stage) -> Stage:
+        entries = {(i, a, j, b): v for i, a, j, b, v in stage.spec.interactions.entries}
+        graph = InteractionGraph.from_dict(entries | {(0, "r", 2, "r"): 0.0})
+        return replace(stage, spec=replace(stage.spec, interactions=graph))
+
+    proto_c = make_protocol("C_SWAP_CCSdag", pc)
+    stages = tuple(one_target_blockade(s) for s in proto_c.plan.stages)
+    rep_single = run_gate(replace(proto_c, plan=StagePlan(stages, proto_c.plan.policy)))
     single_leak = abs(rep_single.u_gate[2, 1]) ** 2
 
     ok = f11 > 0.98 and max(transfers) < 0.01 and single_leak < 0.01

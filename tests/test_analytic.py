@@ -38,25 +38,21 @@ class TestEffectiveParams:
             assert ep.omega_eff == pytest.approx(-om1**2 / (6 * delta), rel=1e-12)
 
     def test_near_degeneracy_for_blocked_branch(self):
-        # strong control shift: lowest eigenvalue collapses onto lam0 = C
+        # strong control shift: lowest eigenvalue collapses onto C
         ep = effective_params(TWO_PI * 33.5, TWO_PI * 89.76, TWO_PI * 1001.2, TWO_PI * 22140.0)
         assert ep.a == pytest.approx(TWO_PI * 1.0618467, rel=1e-6)
-        assert abs(ep.lam_minus - ep.lam0) == pytest.approx(TWO_PI * 1.01885e-4, rel=1e-3)
-        assert abs(ep.lam_minus - ep.lam0) < ep.a / 100
+        assert abs(ep.lam_minus - ep.c) == pytest.approx(TWO_PI * 1.01885e-4, rel=1e-3)
+        assert abs(ep.lam_minus - ep.c) < ep.a / 100
         assert ep.c < 0
 
     def test_eigensystem(self):
+        # lam_minus is the lowest eigenvalue of H_eff on (|01>, |10>, |1r~>),
+        # and C, the dark antisymmetric state's, is the next
         ep = effective_params(TWO_PI * 20.0, TWO_PI * 100.0, TWO_PI * 900.0, TWO_PI * 50.0)
-        assert ep.lam0 == ep.c
-        root = math.sqrt(8 * ep.a**2 + (ep.b - ep.c) ** 2)
-        assert ep.lam_minus == pytest.approx((ep.b + ep.c - root) / 2, rel=1e-12)
-        assert ep.lam_plus == pytest.approx((ep.b + ep.c + root) / 2, rel=1e-12)
-        for vec in (ep.eigvec_minus, ep.eigvec_plus):
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        assert abs(ep.eigvec_minus @ ep.eigvec_plus) < 1e-12
-        # both orthogonal to the dark antisymmetric combination (1,-1,0)
-        anti = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-        assert abs(anti @ ep.eigvec_minus) < 1e-12
+        h = np.array([[ep.c, 0.0, ep.a], [0.0, ep.c, ep.a], [ep.a, ep.a, ep.b]])
+        evals = np.linalg.eigvalsh(h)
+        assert ep.lam_minus == pytest.approx(evals[0], rel=1e-12)
+        assert ep.c == pytest.approx(evals[1], rel=1e-12)
 
     def test_pole_errors(self):
         with pytest.raises(ValueError):

@@ -168,7 +168,7 @@ def test_non_integer_n_controls_rejected(tmp_path, capsys, value):
 
 def test_noise_defaults_are_the_library_defaults():
     with resources.as_file(preset_path("fig3a_doppler")) as path:
-        spec = _noise_spec(_parse_config(path, []), seed=0)
+        spec = _noise_spec(_parse_config(path, []))
     assert spec == NoiseSpec(DopplerSpec(150e-6), n_shots=40, seed=0)
 
 
@@ -269,7 +269,7 @@ def test_scan_without_parameter_rejected(tmp_path, capsys):
     ("gate", "table1_cswap", "gate.omega_c_mhz=10", "omega_c_mhz"),
     ("scan", "fig4c_vscan", "scan.metric=rotation_fidelity", "metric"),
     ("noise", "fig3bc_intensity", "noise.update_interval_us=0.01", "update_interval_us"),
-    ("noise", "fig3a_doppler", "scenario.seed=-1", "seed"),
+    ("noise", "fig3a_doppler", "scenario.seed=-1", "[scenario] seed"),
 ])
 def test_unreadable_or_rejected_value_is_a_config_error(tmp_path, capsys, command, preset, override, key):
     rc = run_cli([command, "--preset", preset] + _SMALL[command] + ["--set", override, "--out", str(tmp_path / "o")])
@@ -281,7 +281,7 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     rc = run_cli(["noise", "--preset", "fig3a_doppler", "--seed", "-1"] + _SMALL["noise"]
                  + ["--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "seed" in capsys.readouterr().err
+    assert "[scenario] seed" in capsys.readouterr().err
 
 
 # a perturbed value of every [gate] key but variant, against table1_cswap

@@ -523,3 +523,11 @@ def test_invalid_inputs():
         propagate(StagePlan((Stage(1.0, spec),)), 2.0 * basis.basis_state(("0",)))
     with pytest.raises(ValueError):
         evolve_step(np.eye(2, dtype=complex), -0.1, np.ones(2, dtype=complex))
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1.0])
+def test_stage_rejects_a_duration_it_cannot_step(duration):
+    # nan and inf would only fail later, inside propagation ("SVD did not converge")
+    _, spec = _free_spec()
+    with pytest.raises(ValueError, match="stage duration"):
+        Stage(duration, spec)

@@ -239,16 +239,6 @@ class TestRunGate:
         expected = params.duration + math.pi / params.omega_c
         assert res.time_integrated_rydberg == pytest.approx(expected, rel=0.01)
 
-    def test_single_target_blockade_suppresses_exchange(self):
-        # blockading one target only removes the symmetric pathway
-        params = replace(
-            table_params("C_SWAP_CCSdag"),
-            interaction_overrides={(0, "r", 2, "r"): 0.0},
-        )
-        rep = run_gate(make_protocol("C_SWAP_CCSdag", params))
-        # control |0> branch: exchange must stay blocked by the single shift
-        assert abs(rep.u_gate[2, 1]) ** 2 < 0.01
-
     def test_fidelity_metrics_ordering(self, cswap_report):
         proto, rep = cswap_report
         assert rep.fidelity >= rep.fidelity_with_loss
@@ -299,13 +289,15 @@ def test_acquired_phase_rejects_bits_naming_no_state(swap_report, bits):
         acquired_phase(proto, bits)
 
 
-@pytest.mark.parametrize("half_width, coarse, name", [(-1e-3, 2e-3, "half_width"), (0.0, 2e-3, "half_width"),
-                                                      (0.03, -1e-3, "coarse"), (0.03, 0.0, "coarse"),
-                                                      (0.03, math.nan, "coarse")])
-def test_calibrate_duration_rejects_a_window_it_cannot_search(monkeypatch, half_width, coarse, name):
+@pytest.mark.parametrize("t_seed, half_width, coarse, name", [
+    (4.68, -1e-3, 2e-3, "half_width"), (4.68, 0.0, 2e-3, "half_width"),
+    (4.68, 0.03, -1e-3, "coarse"), (4.68, 0.03, 0.0, "coarse"), (4.68, 0.03, math.nan, "coarse"),
+    (-1.0, 0.03, 2e-3, "t_seed"), (math.nan, 0.03, 2e-3, "t_seed"),
+])
+def test_calibrate_duration_rejects_a_window_it_cannot_search(monkeypatch, t_seed, half_width, coarse, name):
     monkeypatch.setattr(gates, "run_gate", None)  # no gate may run
     with pytest.raises(ValueError, match=name):
-        calibrate_duration("SWAP", table_params("SWAP"), 4.68, half_width=half_width, coarse=coarse)
+        calibrate_duration("SWAP", table_params("SWAP"), t_seed, half_width=half_width, coarse=coarse)
 
 
 def test_calibrate_duration_rejects_a_maximum_on_the_window_edge():

@@ -112,7 +112,7 @@ def test_collective_hamiltonian_matches_hand_built_matrix(seed):
     for a in (0, 1):
         drives.append(DriveTerm(a, "0", "1", square_pulse(om1), family="omega1"))
         drives.append(DriveTerm(a, "1", "r", square_pulse(om2), family="omega2"))
-    frame = standard_target_frame(basis, delta) + ((0, "r", v), (1, "r", v))
+    frame = standard_target_frame(delta, (0, 1)) + ((0, "r", v), (1, "r", v))
     spec = HamiltonianSpec(basis, tuple(drives), InteractionGraph(), frame, ((0, 1),))
     h = HamiltonianEvaluator(spec, 1.0)(0.5)
     ref, idx = _reference_collective_matrix(basis, om1, om2, delta, v)
@@ -185,7 +185,7 @@ def test_interaction_irrelevant_without_rydberg_drive():
     drives = tuple(
         DriveTerm(a, "0", "1", square_pulse(om1), family="omega1") for a in (0, 1)
     )
-    frame = standard_target_frame(basis, TWO_PI * 300.0)
+    frame = standard_target_frame(TWO_PI * 300.0, (0, 1))
     graph = InteractionGraph.from_dict({(0, "r", 1, "r"): TWO_PI * 700.0})
     psi0 = basis.basis_state(("0", "1"))
     outs = []

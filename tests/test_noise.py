@@ -138,3 +138,11 @@ class TestMonteCarlo:
         mc = monte_carlo_fidelity(protocol, spec)
         assert mc.mean_fidelity < f0
         assert mc.mean_infidelity == pytest.approx(1 - mc.mean_fidelity)
+
+    @pytest.mark.parametrize("widths, unknown", [({"Omega2": 0.05}, "Omega2"),
+                                                 ({"omega2": 0.05, "omega_c": 0.0}, "omega_c")])
+    def test_intensity_family_no_drive_carries_rejected(self, protocol, monkeypatch, widths, unknown):
+        # a family no drive carries would leave every shot at the noiseless fidelity
+        monkeypatch.setattr("rydswap.noise._run_shot", None)  # no shot may run
+        with pytest.raises(ValueError, match=unknown):
+            monte_carlo_fidelity(protocol, NoiseSpec(intensity=IntensitySpec(widths), n_shots=2, seed=3))

@@ -53,7 +53,7 @@ class TestScan:
         with pytest.raises(ValueError):
             ScanSpec("SWAP", base_params, "omega99", (1.0,))
 
-    @pytest.mark.parametrize("parameter", ["decay_rate", "control_pi_time", "model", "interaction_overrides"])
+    @pytest.mark.parametrize("parameter", ["decay_rate", "control_pi_time", "model"])
     def test_only_numeric_fields_scan(self, base_params, parameter):
         with pytest.raises(ValueError, match=parameter):
             ScanSpec("SWAP", base_params, parameter, (1.0, 2.0))
