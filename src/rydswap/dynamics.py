@@ -13,10 +13,9 @@ on the distinct rows, never on assembled blocks.  The drive amplitudes are
 read at every step midpoint.  Where they are the same at every step, and
 for 1-state blocks, each distinct row is exponentiated once with ``expm``,
 its powers come by doubling and P_r is a trace against the Gram matrix of
-the initial states, with no step loop; only a run that records populations
-steps them, through the same loop as the other stages.  A run reports one
-Rydberg exposure, the time integral of P_r summed over its columns.  In any
-other stage a step's
+the initial states, with no step loop; a run that records populations reads
+them off the same powers.  A run reports one Rydberg exposure, the time
+integral of P_r summed over its columns.  In any other stage a step's
 cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
 an intensity factor per noisy family), the coordinates of its drive row in
 the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
@@ -29,23 +28,20 @@ Where the grid would outnumber the steps the nodes are the steps
 themselves.  The interpolant is checked against a direct exponential at
 the step of largest Lebesgue sum.  Each step applies the factors to their
 axes of the block states, X <- phase A X B^T for two clusters.
-``propagate_matrix`` is that kernel, ``propagate`` its one-column view.  A
-Runge-Kutta propagation (``propagate_rk``, scipy's Fortran DOP853, imported
-on its first call) and the dense ``evolve_step`` are kept alongside as
-independent cross-checks.
+``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
-from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization, envelope_value
+from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization
 
 # Step propagators and states are built in chunks of steps of about this many
 # complex elements each, which bounds the kernel's memory at any step count.
@@ -75,11 +71,18 @@ class StepPolicy:
     Every envelope spans its stage, so the step count depends only on the
     shapes driven: a stage with a nonzero Gaussian takes 4
     gaussian_resolution uniform steps, a quarter of its sigma each, and
-    any other stage takes square_resolution.
+    any other stage takes square_resolution.  Both are integers of at least
+    1 (ValueError otherwise).
     """
 
     gaussian_resolution: int = 800
     square_resolution: int = 200
+
+    def __post_init__(self):
+        for name in ("gaussian_resolution", "square_resolution"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,8 @@ class PropagationResult:
     Rydberg population P_r summed over the columns, sampled at t = 0 and at
     the end of every integrator step.  When populations are recorded,
     population_traj holds |psi|^2 per basis state at those samples and times
-    their times; otherwise both are None.
+    their times; otherwise both are None.  Recording reads the states a run
+    computes anyway, so it changes none of the other fields.
     """
 
     final_state: np.ndarray
@@ -121,13 +125,6 @@ class PropagationResult:
     time_integrated_rydberg: float
     times: np.ndarray | None = None
     population_traj: np.ndarray | None = None
-
-
-def evolve_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i h dt) to a state (or matrix of column states)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return expm(-1j * dt * h) @ psi
 
 
 def _stage_steps(stage: Stage, policy: StepPolicy) -> int:
@@ -290,13 +287,11 @@ def propagate_matrix(
             ryd_g = ryd[group.index]
             ref = group.index[:, 0]
             phase = np.exp(-1j * dt * diag[ref])
-            closed = constant or not group.factor_index
-            if closed:  # block b steps by phase_b F_r, F_r = exp of its distinct rows r
+            if constant or not group.factor_index:  # block b steps by phase_b F_r, F_r = exp of its distinct rows r
                 rows, first, row_of = np.unique(group.rows, axis=0, return_index=True, return_inverse=True)
                 i = group.index[first]
                 f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
                      if group.factor_index else np.ones((1, 1, 1)))
-            if closed and not record_populations:
                 # Blocks of one key (r, |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G)
                 # after k steps, with G the key's Gram matrix sum x x+ over its blocks and the columns.
                 keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
@@ -316,38 +311,32 @@ def propagate_matrix(
                     m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(k1 - k0, -1, d * d)
                     decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
                     p_steps += np.sum(decay * np.sum(m * gram, axis=-1)).real
+                    if record_populations:
+                        phase_k = phase[:, None, None] ** np.arange(k0 + 1, k1 + 1)[:, None, None, None]
+                        stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
                 psi_g = phase[:, None, None] ** n * (f_k[-1, row_of] @ psi_g)
             else:
-                if closed:  # recorded: the exact step is the same at every step
-                    _log.debug("stage %d, blocks %dx%d: %d recorded steps, %d distinct rows",
-                               i_stage, n_blocks, d, n, len(rows))
-                    f_step = phase[:, None, None] * f[row_of]
-                    dims = [d]
-                else:
-                    energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
-                    nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
-                    gap = 0.0
-                    if weights is not None:
-                        node_exps = _factor_exponentials(group, energies, nodes, dt)
-                        gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
-                    _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
-                               i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
-                    if gap > _CHECK_TOL:
-                        raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
-                    dims = [len(i[0]) for i in group.factor_index]
+                energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+                nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
+                gap = 0.0
+                if weights is not None:
+                    node_exps = _factor_exponentials(group, energies, nodes, dt)
+                    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+                _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
+                           i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
+                if gap > _CHECK_TOL:
+                    raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
+                dims = [len(i[0]) for i in group.factor_index]
                 # factor k acts on axis k of the block states; the factors commute, so the
                 # first goes last and writes the trajectory
                 chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
                 psi_g = psi_g.reshape(n_blocks, dims[0], -1)
                 for k0 in range(0, n, chunk):
                     k1 = min(n, k0 + chunk)
-                    if closed:
-                        us = [np.broadcast_to(f_step, (k1 - k0, *f_step.shape))]
-                    else:
-                        exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
-                                [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
-                        us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
-                        us[0] *= phase[:, None, None]
+                    exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
+                            [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
+                    us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
+                    us[0] *= phase[:, None, None]
                     steps = [(us[slot][:, :, None], (n_blocks, math.prod(dims[:slot]), dk, -1))
                              for slot, dk in enumerate(dims) if slot]
                     traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
@@ -391,49 +380,3 @@ def propagate(
     res = propagate_matrix(plan, np.asarray(psi0)[:, None], noise, record_populations)
     return replace(res, final_state=res.final_state[:, 0], norm_loss=float(res.norm_loss[0]),
                    population_traj=None if res.population_traj is None else res.population_traj[..., 0])
-
-
-def propagate_rk(
-    plan: StagePlan,
-    psi0: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Cross-check propagation with Hairer and Wanner's Fortran DOP853 (scipy.integrate.ode).
-
-    Independent of the exponential stepper and of the block structure: the
-    right-hand side is -i (diagonal + the dense couplings summed per distinct
-    envelope) y, in real form.  Square envelopes are constant, so their
-    couplings join the static part; a call evaluates each other distinct
-    envelope once, as a scalar.  Used to validate the stepper on small
-    systems.  Returns the final state only.
-    """
-    from scipy.integrate import ode
-
-    psi = np.asarray(psi0, dtype=complex)
-    n = len(psi)
-    for stage in plan.stages:
-        timed = list(dict.fromkeys(d.envelope for d in stage.spec.drives if d.envelope.kind != "square"))
-        gens = np.zeros((1 + len(timed), n, n), dtype=complex)  # -i H = gens[0] + sum_k f_k(t) gens[1 + k]
-        gens[0] = np.diag(-1j * HamiltonianEvaluator(stage.spec, stage.duration).diagonal)
-        for d, k in zip(stage.spec.drives, stage.spec.coupling_matrices()):
-            if d.envelope.kind == "square":  # constant over the stage
-                gens[0] -= 1j * float(envelope_value(d.envelope, 0.0, stage.duration)) * k
-            else:
-                gens[1 + timed.index(d.envelope)] -= 1j * k
-        static, *real = np.block([[gens.real, -gens.imag], [gens.imag, gens.real]])  # on (Re y, Im y)
-        drives = [(partial(envelope_value, env, duration=stage.duration), r) for env, r in zip(timed, real)]
-
-        def rhs(t, y):
-            m = static
-            for f, r in drives:
-                m = m + f(t) * r
-            return m @ y
-
-        # no step cap, as in solve_ivp
-        solver = ode(rhs).set_integrator("dop853", rtol=rtol, atol=atol, nsteps=np.iinfo(np.int32).max)
-        y = solver.set_initial_value(np.concatenate([psi.real, psi.imag]), 0.0).integrate(stage.duration)
-        if not solver.successful():
-            raise PropagationError(f"RK cross-check stopped at t = {solver.t} of {stage.duration}")
-        psi = y[:n] + 1j * y[n:]
-    return psi

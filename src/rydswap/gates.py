@@ -460,29 +460,6 @@ def rotation_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray) -> float:
     return process_fidelity(np.abs(u_gate) * phases, u_ideal)
 
 
-def phase_optimized_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray, n_qubits: int) -> float:
-    """Best process fidelity over per-qubit virtual-Z corrections.
-
-    Used where the tabulated phase convention is ambiguous (the half-angle
-    exchange variant carries no printed adjustment).
-    """
-    from scipy.optimize import minimize
-
-    bit_table = _bit_table(n_qubits)
-
-    def neg_fid(phis):
-        diag = np.exp(1j * (bit_table @ phis))
-        return -process_fidelity(diag[:, None] * u_gate, u_ideal)
-
-    best = -neg_fid(np.zeros(n_qubits))
-    rng = np.random.default_rng(7)
-    starts = [np.zeros(n_qubits)] + [rng.uniform(-math.pi, math.pi, n_qubits) for _ in range(6)]
-    for x0 in starts:
-        res = minimize(neg_fid, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-12})
-        best = max(best, -res.fun)
-    return float(best)
-
-
 def conditional_rotation_fidelity(
     report: GateReport, protocol: GateProtocol, control_bits: tuple[int, ...]
 ) -> float:

@@ -16,6 +16,7 @@ is reported downstream as Rydberg loss.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,7 +161,9 @@ class HamiltonianSpec:
     acts only while its partners are in logical levels.  This is the
     truncation under which the exchange proceeds exclusively through the
     symmetric single-excitation state; the empty default keeps the complete
-    product space.
+    product space.  Every atom that a drive, frame detuning, interaction
+    entry or collective pair names must lie in [0, n_atoms), and a
+    collective pair names two distinct atoms (ValueError otherwise).
     """
 
     basis: ProductBasis
@@ -170,6 +173,17 @@ class HamiltonianSpec:
     collective_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        n = self.basis.n_atoms
+        atoms = ([("drives", d, (d.atom,)) for d in self.drives]
+                 + [("frame_detunings", e, e[:1]) for e in self.frame_detunings]
+                 + [("interactions", e, (e[0], e[2])) for e in self.interactions.entries]
+                 + [("collective_pairs", e, tuple(e)) for e in self.collective_pairs])
+        for name, entry, indices in atoms:
+            if not all(isinstance(a, numbers.Integral) and 0 <= a < n for a in indices):
+                raise ValueError(f"{name} entry {entry!r} names an atom outside [0, {n})")
+        for pair in self.collective_pairs:
+            if len(pair) != 2 or pair[0] == pair[1]:
+                raise ValueError(f"collective_pairs entry {pair!r} must name two distinct atoms")
         for d in self.drives:
             scheme = self.basis.schemes[d.atom]
             scheme.level_index(d.lower)

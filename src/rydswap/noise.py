@@ -148,10 +148,13 @@ def monte_carlo_fidelity(
     """Average the gate fidelity over independent noise shots.
 
     Shot i draws from the Philox stream (seed, i), so results are identical
-    whether shots run serially or across a process pool.  An intensity width
-    for a family that no drive of the protocol carries raises ValueError
-    before any shot runs.
+    whether shots run serially or across a process pool of min(jobs, shots)
+    workers.  A jobs that is not an integer of at least 1, or an intensity
+    width for a family that no drive of the protocol carries, raises
+    ValueError before any shot runs.
     """
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if spec.intensity is not None:
         carried = {d.family for stage in protocol.plan.stages for d in stage.spec.drives}
         unknown = sorted(set(spec.intensity.relative_widths) - carried)
@@ -159,10 +162,12 @@ def monte_carlo_fidelity(
             raise ValueError(f"no drive of {protocol.variant} carries the intensity families {unknown} "
                              f"(drive families: {sorted(carried)})")
     shots = range(spec.n_shots)
-    if jobs > 1:
+    # a pool starts all its workers at the first submit, so it gets no more than there are shots
+    workers = min(jobs, spec.n_shots)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_shot, [protocol] * spec.n_shots, [spec] * spec.n_shots, shots))
     else:
         runs = [_run_shot(protocol, spec, s) for s in shots]

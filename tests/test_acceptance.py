@@ -51,7 +51,6 @@ from rydswap.gates import (
     calibrate_duration,
     conditional_rotation_fidelity,
     make_protocol,
-    phase_optimized_fidelity,
     run_gate,
     table_params,
     two_target_plan,
@@ -71,6 +70,8 @@ from rydswap.noise import (
     monte_carlo_fidelity,
 )
 from rydswap.sweep import ScanSpec, scan
+
+from oracles import phase_optimized_fidelity
 
 TWO_PI = 2 * math.pi
 TABLE_GATES = ("SWAP", "iSWAP", "sqrt_iSWAP", "C_iSWAP", "C_SWAP_CCSdag")

@@ -14,13 +14,14 @@ from rydswap.gates import (
     conditional_rotation_fidelity,
     ideal_unitary,
     make_protocol,
-    phase_optimized_fidelity,
     process_fidelity,
     rotation_fidelity,
     run_gate,
     table_params,
     two_target_plan,
 )
+
+from oracles import phase_optimized_fidelity
 
 TWO_PI = 2 * math.pi
 

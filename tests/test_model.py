@@ -248,6 +248,24 @@ def test_drive_validation():
         HamiltonianSpec(basis, (DriveTerm(0, "1", "q", square_pulse(1.0)),))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("drives", (DriveTerm(-1, "1", "r", square_pulse(1.0)),)),
+    ("drives", (DriveTerm(5, "1", "r", square_pulse(1.0)),)),
+    ("frame_detunings", ((9, "1", 1.0),)),
+    ("frame_detunings", ((-1, "1", 1.0),)),
+    ("interactions", InteractionGraph.from_dict({(0, "r", 9, "r"): 1.0})),
+    ("interactions", InteractionGraph.from_dict({(-1, "r", 1, "r"): 1.0})),
+    ("collective_pairs", ((0, 7),)),
+    ("collective_pairs", ((0, 0),)),
+])
+def test_spec_rejects_an_atom_outside_the_basis(field, value):
+    # each once failed inside propagation (IndexError), or silently meant the
+    # last atom, or projected out every state with atom 0 in r
+    basis = build_basis([qubit_scheme()] * 2)
+    with pytest.raises(ValueError, match=field):
+        HamiltonianSpec(basis, **{field: value})
+
+
 # the target stage's largest group: (distinct blocks, factor sizes)
 _TARGET_DISTINCT = {"SWAP": (1, (8,)), "C_SWAP_CCSdag": (2, (8,)), "C_iSWAP": (2, (8,)), "Ck_SWAP": (3, (8,)),
                     "MUX_SWAP_3T": (3, (20,)), "MUX_SWAP_4T": (3, (8, 8))}

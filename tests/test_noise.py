@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -146,3 +147,35 @@ class TestMonteCarlo:
         monkeypatch.setattr("rydswap.noise._run_shot", None)  # no shot may run
         with pytest.raises(ValueError, match=unknown):
             monte_carlo_fidelity(protocol, NoiseSpec(intensity=IntensitySpec(widths), n_shots=2, seed=3))
+
+    @pytest.mark.parametrize("jobs, n_shots, pools", [(64, 3, [3]), (8, 1, [])])
+    def test_pool_starts_no_more_workers_than_shots(self, protocol, monkeypatch, jobs, n_shots, pools):
+        # a pool launches all its workers at the first submit; the stand-in records
+        # the size asked for and maps in this process
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        spec = NoiseSpec(doppler=DopplerSpec(temperature_K=100e-6), n_shots=n_shots, seed=21)
+        result = monte_carlo_fidelity(protocol, spec, jobs=jobs)
+        assert created == pools
+        assert np.array_equal(result.fidelities, monte_carlo_fidelity(protocol, spec).fidelities)
+
+    @pytest.mark.parametrize("jobs", [0, -2, 2.5, "2"])
+    def test_jobs_that_is_not_a_positive_integer_rejected(self, protocol, monkeypatch, jobs):
+        monkeypatch.setattr("rydswap.noise._run_shot", None)  # no shot may run
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # and no pool start
+        with pytest.raises(ValueError, match="jobs"):
+            monte_carlo_fidelity(protocol, NoiseSpec(n_shots=4, seed=3), jobs=jobs)
