@@ -11,11 +11,8 @@ equal-shape blocks on its own.  A block's step propagator is a phase times
 the Kronecker product of its factor rows' exponentials, and the kernel works
 on the distinct rows, never on assembled blocks.  The drive amplitudes are
 read at every step midpoint.  Where they are the same at every step, and
-for 1-state blocks, each distinct row is exponentiated once with ``expm``,
-its powers come by doubling and P_r is a trace against the Gram matrix of
-the initial states, with no step loop; a run that records populations reads
-them off the same powers.  A run reports one Rydberg exposure, the time
-integral of P_r summed over its columns.  In any other stage a step's
+for 1-state blocks, each distinct row is exponentiated once with ``expm``
+and stepped in closed form, with no step loop.  In any other stage a step's
 cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
 an intensity factor per noisy family), the coordinates of its drive row in
 the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
@@ -26,11 +23,27 @@ step's exponential is the Lagrange-weighted sum of the node exponentials
 (Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
 Where the grid would outnumber the steps the nodes are the steps
 themselves.  The interpolant is checked against a direct exponential at
-the step of largest Lebesgue sum.  Each step applies the factors to their
-axes of the block states, X <- phase A X B^T for two clusters.
-``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
-"""
+the step of largest Lebesgue sum.
 
+A run reports one Rydberg exposure, the time integral of P_r summed over
+its columns.  Where every Rydberg level decays at one rate Gamma,
+d|psi|^2/dt = -Gamma P_r, so the exposure is the norm lost over Gamma: the
+decay budget.  Its error is the steps' own norm drift over Gamma, so the
+budget serves only where Gamma T is large enough against a fixed drift per
+step (see _STEP_DRIFT); there, and in runs without decay or with unequal
+rates, the exposure is the trapezoid of P_r at t = 0 and every step end
+instead.  The path is chosen from the plan, before any step.  A budget run
+computes no P_r: closed-form groups take F^n by repeated squaring, and
+time-dependent groups reduce each chunk's step exponentials pairwise per
+distinct factor row and apply the product to the block states once per
+chunk, X <- phase^m A X B^T for two clusters.  A trapezoid run takes
+closed-form P_r as a trace against the Gram matrix of the initial states
+over the powers F^1..F^n, and steps the states of the other groups, one
+step at a time.  Recording populations changes no result: a recorded run
+reads them off the same powers, or steps a chunk's states from where its
+product starts.  ``propagate_matrix`` is that kernel, ``propagate`` its
+one-column view.
+"""
 from __future__ import annotations
 
 import logging
@@ -55,6 +68,23 @@ _CHUNK_ELEMENTS = 32768
 _RANK_TOL = 1e-12
 _NODE_TARGET = 1e-14
 _CHECK_TOL = 1e-10
+
+# The decay budget's exposure, the norm lost over Gamma, also divides the
+# steps' own norm drift by Gamma.  That drift does not depend on Gamma: a few
+# eps per step, from each step's rounding and the interpolant's error.  At
+# lifetime None the nine catalog gates drift, summed over their inputs, by
+# 0.3-3.8e-16 of the input norm per step.  Taking at most _STEP_DRIFT
+# |psi0|^2 per step, a run of n steps errs by at most
+# n _STEP_DRIFT |psi0|^2 / Gamma, and the budget serves only where that is at
+# most _BUDGET_TOL T |psi0|^2, i.e. where Gamma T >= n _STEP_DRIFT / _BUDGET_TOL.
+# The cut needs only the plan, so a run takes one path and never both.
+# _BUDGET_TOL T |psi0|^2 is 1e-8 of the exposure of inputs that spend a tenth
+# of the run in the Rydberg levels; the controlled gates spend half of it and
+# more, the two-qubit gates 2%.  On the catalog gates the measured error is
+# at most 4.4e-9 of the exposure at lifetime 400 us, and 1.6e-8 anywhere
+# below the cut (SWAP at its cut, a lifetime of about 1.5 ms).
+_STEP_DRIFT = 1e-15
+_BUDGET_TOL = 1e-9
 
 _log = logging.getLogger("rydswap")
 
@@ -112,12 +142,15 @@ class PropagationResult:
     From propagate_matrix final_state, norm_loss and population_traj have a
     trailing column axis; propagate returns them without it.  norm_loss is
     |psi0|^2 - |psi|^2, the population lost to Rydberg decay.
-    time_integrated_rydberg is the exposure: the trapezoid in us of the
-    Rydberg population P_r summed over the columns, sampled at t = 0 and at
-    the end of every integrator step.  When populations are recorded,
-    population_traj holds |psi|^2 per basis state at those samples and times
-    their times; otherwise both are None.  Recording reads the states a run
-    computes anyway, so it changes none of the other fields.
+    time_integrated_rydberg is the exposure, the integral in us of the
+    Rydberg population P_r summed over the columns: the summed norm loss
+    over Gamma where every Rydberg level decays at the one rate Gamma and
+    Gamma T is large enough that the steps' own norm drift over Gamma stays
+    within 1e-9 T |psi0|^2 (see _STEP_DRIFT), and otherwise the trapezoid of
+    P_r sampled at t = 0 and at the end of every integrator step.  When
+    populations are recorded, population_traj holds |psi|^2 per basis state
+    at those samples and times their times; otherwise both are None.
+    Recording changes none of the other fields.
     """
 
     final_state: np.ndarray
@@ -240,6 +273,38 @@ def _interpolation_gap(group: BlockGroup, energies, factors: np.ndarray, node_ex
     return max(float(np.max(np.abs(_weighted(w, f) - g))) for f, g in zip(node_exps, direct))
 
 
+def _budget_rate(plan: StagePlan) -> float:
+    """Gamma where the run reads its exposure off the decay budget, else 0.
+
+    That is where every stage's basis decays at the one rate Gamma on every
+    Rydberg level and nowhere else (doubly-Rydberg states at 2 Gamma), and
+    Gamma T passes the cut n _STEP_DRIFT / _BUDGET_TOL for the plan's n
+    steps and duration T.
+    """
+    basis = plan.stages[0].spec.basis
+    ryd = basis.rydberg_projector_diagonal()
+    gamma = float(np.max(basis.decay_diagonal() / np.maximum(ryd, 1.0)))
+    single = gamma > 0.0 and all(np.allclose(stage.spec.basis.decay_diagonal(), gamma * ryd, rtol=1e-12, atol=0.0)
+                                 for stage in plan.stages)
+    n = sum(_stage_steps(stage, plan.policy) for stage in plan.stages)
+    return gamma if single and gamma * plan.total_duration * _BUDGET_TOL >= n * _STEP_DRIFT else 0.0
+
+
+def _chunk_product(b: np.ndarray) -> np.ndarray:
+    """b[-1] @ ... @ b[0] over the first axis (a chunk's steps, in order), in log2(len(b)) batched products."""
+    while len(b) > 1:
+        pairs = b[1::2] @ b[:len(b) - 1:2]
+        b = np.concatenate([pairs, b[-1:]]) if len(b) % 2 else pairs
+    return b[0]
+
+
+def _apply_factors(u: list[np.ndarray], x: np.ndarray, shapes: list[tuple]) -> np.ndarray:
+    """The block states x (n_blocks, d_0, rest) times the Kronecker product of the per-block factors u, factor k on axis k."""
+    for slot in range(1, len(u)):
+        x = np.matmul(u[slot][:, None], x.reshape(shapes[slot])).reshape(x.shape)
+    return np.matmul(u[0], x)
+
+
 def propagate_matrix(
     plan: StagePlan,
     columns: np.ndarray,
@@ -250,14 +315,26 @@ def propagate_matrix(
 
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
-    A stage adds dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2)
-    to the exposure, its trapezoid of P_r summed over the columns.
+    Where _budget_rate gives the one decay rate Gamma, the exposure is the
+    norm lost over Gamma, since d|psi|^2/dt = -Gamma P_r, plus duration x
+    P_r of the states the collective truncation blocks (they neither move
+    nor decay); no P_r is computed, closed-form groups take F^n by repeated
+    squaring and time-dependent groups apply each chunk's pairwise-reduced
+    step product to the block states once.  A recorded run takes its final
+    states from the same products and its populations from a step pass.
+    Otherwise a stage adds dt (P_r(start) / 2 + sum of P_r at its step ends
+    - P_r(end) / 2) to the exposure, its trapezoid of P_r summed over the
+    columns.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
         raise ValueError("initial state norm exceeds 1")
+    if any(stage.spec.basis.dim != len(columns) for stage in plan.stages):
+        raise ValueError("stage basis dimension does not match the propagated state")
+    gamma = _budget_rate(plan)
     cols = columns.astype(complex)
     n_cols = cols.shape[1]
+    need_pr = not gamma
 
     ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
     p_end = ryd @ np.sum(np.abs(cols) ** 2, axis=1)
@@ -267,8 +344,6 @@ def propagate_matrix(
 
     t_offset = 0.0
     for i_stage, stage in enumerate(plan.stages):
-        if stage.spec.basis.dim != cols.shape[0]:
-            raise ValueError("stage basis dimension does not match the propagated state")
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
         evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
@@ -279,6 +354,9 @@ def propagate_matrix(
         else:
             axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
+        if not need_pr:
+            blocked = ryd * stage.spec.blocked_states()
+            exposure += stage.duration * (blocked @ np.sum(np.abs(cols) ** 2, axis=1))
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
@@ -292,29 +370,36 @@ def propagate_matrix(
                 i = group.index[first]
                 f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
                      if group.factor_index else np.ones((1, 1, 1)))
-                # Blocks of one key (r, |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G)
-                # after k steps, with G the key's Gram matrix sum x x+ over its blocks and the columns.
-                keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
-                                                    return_index=True, return_inverse=True)
-                gram = np.equal.outer(np.arange(len(keys)), key_of) @ (
-                    psi_g.conj() @ np.swapaxes(psi_g, 1, 2)).reshape(n_blocks, d * d)
+                n_keys = 0
+                if need_pr:
+                    # Blocks of one key (r, |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G)
+                    # after k steps, with G the key's Gram matrix sum x x+ over its blocks and the columns.
+                    keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
+                                                        return_index=True, return_inverse=True)
+                    gram = np.equal.outer(np.arange(len(keys)), key_of) @ (
+                        psi_g.conj() @ np.swapaxes(psi_g, 1, 2)).reshape(n_blocks, d * d)
+                    n_keys = len(keys)
                 _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows, %d Gram keys",
-                           i_stage, n_blocks, d, n, len(rows), len(keys))
-                chunk = max(1, _CHUNK_ELEMENTS // (len(keys) * d * d))
-                base = f[None]  # F^1..F^chunk by doubling
-                while len(base) < min(n, chunk):
-                    base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
-                for k0 in range(0, n, chunk):
-                    k1 = min(n, k0 + chunk)
-                    f_k = base[:k1 - k0] @ f_k[-1] if k0 else base[:k1 - k0]
-                    g = f_k[:, row_of[key_first]]
-                    m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(k1 - k0, -1, d * d)
-                    decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
-                    p_steps += np.sum(decay * np.sum(m * gram, axis=-1)).real
-                    if record_populations:
-                        phase_k = phase[:, None, None] ** np.arange(k0 + 1, k1 + 1)[:, None, None, None]
-                        stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
-                psi_g = phase[:, None, None] ** n * (f_k[-1, row_of] @ psi_g)
+                           i_stage, n_blocks, d, n, len(rows), n_keys)
+                chunk = max(1, _CHUNK_ELEMENTS // (max(n_keys, len(rows)) * d * d))  # keys refine rows
+                if need_pr or record_populations:
+                    base = f[None]  # F^1..F^chunk by doubling
+                    while len(base) < min(n, chunk):
+                        base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
+                    for k0 in range(0, n, chunk):
+                        k1 = min(n, k0 + chunk)
+                        f_k = base[:k1 - k0] @ f_k[-1] if k0 else base[:k1 - k0]
+                        if need_pr:
+                            g = f_k[:, row_of[key_first]]
+                            m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(
+                                k1 - k0, -1, d * d)
+                            decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
+                            p_steps += np.sum(decay * np.sum(m * gram, axis=-1)).real
+                        if record_populations:
+                            phase_k = phase[:, None, None] ** np.arange(k0 + 1, k1 + 1)[:, None, None, None]
+                            stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
+                f_n = f_k[-1] if need_pr else np.linalg.matrix_power(f, n)
+                psi_g = phase[:, None, None] ** n * (f_n[row_of] @ psi_g)
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
                 nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
@@ -329,41 +414,60 @@ def propagate_matrix(
                 dims = [len(i[0]) for i in group.factor_index]
                 # factor k acts on axis k of the block states; the factors commute, so the
                 # first goes last and writes the trajectory
-                chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
+                # a step holds each block's exponentials and states; a budget run's chunk, a product per
+                # distinct row, is longer, and a recording step pass goes through it in steps of step_chunk
+                step_chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
+                chunk = step_chunk if need_pr else max(
+                    1, _CHUNK_ELEMENTS // sum(len(i) * dk * dk for i, dk in zip(group.factor_index, dims)))
                 psi_g = psi_g.reshape(n_blocks, dims[0], -1)
+                shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
                 for k0 in range(0, n, chunk):
                     k1 = min(n, k0 + chunk)
                     exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
                             [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
-                    us = [b[:, group.rows[:, slot]] for slot, b in enumerate(exps)]
-                    us[0] *= phase[:, None, None]
-                    steps = [(us[slot][:, :, None], (n_blocks, math.prod(dims[:slot]), dk, -1))
-                             for slot, dk in enumerate(dims) if slot]
-                    traj = np.empty((k1 - k0, *psi_g.shape), dtype=complex)
-                    for j in range(k1 - k0):
-                        x = psi_g
-                        for u, shape in steps:
-                            x = np.matmul(u[j], x.reshape(shape)).reshape(psi_g.shape)
-                        psi_g = np.matmul(us[0][j], x, out=traj[j])
-                    # P_r weights the squared real and imaginary parts, then adds them
-                    sq = traj.reshape(k1 - k0, -1, n_cols).view(float) ** 2
-                    p_steps += np.sum(ryd_g.ravel() @ sq)
-                    if record_populations:
-                        stage_pops[k0:k1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
-                            k1 - k0, n_blocks, d, n_cols)
+                    x_end = psi_g
+                    if need_pr or record_populations:
+                        for s0 in range(k0, k1, step_chunk):
+                            s1 = min(k1, s0 + step_chunk)
+                            us = [b[s0 - k0:s1 - k0][:, group.rows[:, slot]] for slot, b in enumerate(exps)]
+                            us[0] *= phase[:, None, None]
+                            steps = [(u[:, :, None], shape) for u, shape in zip(us[1:], shapes[1:])]
+                            traj = np.empty((s1 - s0, *psi_g.shape), dtype=complex)
+                            for j in range(s1 - s0):
+                                x = x_end
+                                for u, shape in steps:
+                                    x = np.matmul(u[j], x.reshape(shape)).reshape(psi_g.shape)
+                                x_end = np.matmul(us[0][j], x, out=traj[j])
+                            # P_r weights the squared real and imaginary parts, then adds them
+                            sq = traj.reshape(s1 - s0, -1, n_cols).view(float) ** 2
+                            if need_pr:
+                                p_steps += np.sum(ryd_g.ravel() @ sq)
+                            if record_populations:
+                                stage_pops[s0:s1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
+                                    s1 - s0, n_blocks, d, n_cols)
+                    if need_pr:
+                        psi_g = x_end
+                    else:  # one step by the chunk's product, factor by factor
+                        u = [_chunk_product(b)[group.rows[:, slot]] for slot, b in enumerate(exps)]
+                        u[0] *= phase[:, None, None] ** (k1 - k0)
+                        psi_g = _apply_factors(u, psi_g, shapes)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
             cols[group.index] = psi_g.reshape(n_blocks, d, n_cols)
-        p_start, p_end = p_end, ryd @ np.sum(np.abs(cols) ** 2, axis=1)
-        exposure += dt * (0.5 * p_start + p_steps - 0.5 * p_end)
+        if need_pr:
+            p_start, p_end = p_end, ryd @ np.sum(np.abs(cols) ** 2, axis=1)
+            exposure += dt * (0.5 * p_start + p_steps - 0.5 * p_end)
         if record_populations:
             times.append(t_offset + np.arange(1, n + 1) * dt)
             pops.append(stage_pops)
         t_offset += stage.duration
 
+    norms = np.sum(np.abs(cols) ** 2, axis=0)
+    if not need_pr:
+        exposure += np.sum(norms0 - norms) / gamma
     return PropagationResult(
         final_state=cols,
-        norm_loss=np.maximum(0.0, norms0 - np.sum(np.abs(cols) ** 2, axis=0)),
+        norm_loss=np.maximum(0.0, norms0 - norms),
         time_integrated_rydberg=float(exposure),
         times=np.concatenate(times) if record_populations else None,
         population_traj=np.concatenate(pops) if record_populations else None,

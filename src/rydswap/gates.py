@@ -183,8 +183,13 @@ class GateReport:
     is u_gate with each column renormalized by its surviving norm, as the
     result tables use.  fidelity is the process fidelity of the renormalized
     gate (rotation and phase errors only); fidelity_with_loss scores u_gate
-    itself, so decay counts against it.  Phases follow the tabulated,
-    accumulated-phase sign convention: the argument is minus the propagator's.
+    itself, so decay counts against it.  t_bar_r is the Rydberg exposure
+    per input, integral of P_r dt in us: with one decay rate it is the lost
+    norm over that rate where the rate is large enough for the steps' own
+    norm drift (dynamics._STEP_DRIFT), and otherwise the trapezoid of P_r at
+    the integrator's step ends (PropagationResult.time_integrated_rydberg).
+    Phases follow the tabulated, accumulated-phase sign convention: the
+    argument is minus the propagator's.
     """
 
     variant: str

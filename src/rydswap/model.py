@@ -162,8 +162,10 @@ class HamiltonianSpec:
     truncation under which the exchange proceeds exclusively through the
     symmetric single-excitation state; the empty default keeps the complete
     product space.  Every atom that a drive, frame detuning, interaction
-    entry or collective pair names must lie in [0, n_atoms), and a
-    collective pair names two distinct atoms (ValueError otherwise).
+    entry or collective pair names must lie in [0, n_atoms), a collective
+    pair or interaction entry names two distinct atoms, every frame-detuning
+    and interaction level is one of its atom's, and interactions shift only
+    Rydberg levels (ValueError otherwise, naming the field and the entry).
     """
 
     basis: ProductBasis
@@ -184,6 +186,17 @@ class HamiltonianSpec:
         for pair in self.collective_pairs:
             if len(pair) != 2 or pair[0] == pair[1]:
                 raise ValueError(f"collective_pairs entry {pair!r} must name two distinct atoms")
+        for entry in self.interactions.entries:
+            if entry[0] == entry[2]:
+                raise ValueError(f"interactions entry {entry!r} must name two distinct atoms")
+        levels = ([("frame_detunings", e, e[:2], False) for e in self.frame_detunings]
+                  + [("interactions", e, pair, True) for e in self.interactions.entries for pair in (e[:2], e[2:4])])
+        for name, entry, (atom, label), rydberg in levels:
+            scheme = self.basis.schemes[atom]
+            if label not in scheme.labels:
+                raise ValueError(f"{name} entry {entry!r} names level {label!r}, which atom {atom} does not have")
+            if rydberg and not scheme.rydberg_flags[scheme.labels.index(label)]:
+                raise ValueError(f"{name} entry {entry!r} shifts the non-Rydberg level {label!r} of atom {atom}")
         for d in self.drives:
             scheme = self.basis.schemes[d.atom]
             scheme.level_index(d.lower)

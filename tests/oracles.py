@@ -16,17 +16,36 @@ from rydswap.gates import _bit_table, process_fidelity
 from rydswap.model import HamiltonianEvaluator, envelope_value
 
 
+def _single_rate(plan):
+    """Gamma if every stage's basis decays at Gamma per Rydberg excitation and nowhere else, else 0."""
+    gamma = 0.0
+    for stage in plan.stages:
+        decay, ryd = stage.spec.basis.decay_diagonal(), stage.spec.basis.rydberg_projector_diagonal()
+        gamma = gamma or float(np.max(decay[ryd > 0] / ryd[ryd > 0], initial=0.0))
+        if not (gamma > 0.0 and np.allclose(decay, gamma * ryd, rtol=1e-12, atol=0.0)):
+            return 0.0
+    return gamma
+
+
 def _dense_oracle(plan, cols, noise=None):
     """Dense per-step propagation: expm of the evaluator's full H at each step midpoint.
 
     Returns the final states, the sample times (t = 0 and every step end),
-    P_r summed over the columns and the populations (n_samples, dim, n_cols)
-    at those times.  In a stage whose drives vary the kernel splits the decay
-    off symmetrically around each unitary step; the oracle splits it the same
-    way, so the comparison measures the block assembly, not the splitting.
+    the exposure and the populations (n_samples, dim, n_cols) at those
+    times.  The exposure is the integral of P_r summed over the columns:
+    on plans with one decay rate Gamma on every Rydberg level, the norm the
+    oracle loses over Gamma plus duration x P_r of the states each stage's
+    collective truncation blocks (the kernel's decay budget, for plans whose
+    Gamma T passes its cut, as every such plan here does by far); otherwise
+    the trapezoid of P_r.  In a stage whose drives vary the kernel splits
+    the decay off symmetrically around each unitary step; the oracle splits
+    it the same way, so the comparison measures the block assembly, not the
+    splitting.
     """
     psi, t_offset = cols.astype(complex), 0.0
     times, pops = [0.0], [np.abs(psi) ** 2]
+    ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
+    blocked = 0.0
     for stage in plan.stages:
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
@@ -34,6 +53,7 @@ def _dense_oracle(plan, cols, noise=None):
         mids = (np.arange(n) + 0.5) * dt
         factors = evaluator.drive_factors(mids)
         varying = np.any(factors != factors[0])
+        blocked += stage.duration * (ryd * stage.spec.blocked_states()) @ np.sum(np.abs(psi) ** 2, axis=1)
         for t in mids:
             times.append(t_offset + t + 0.5 * dt)
             h = evaluator(t)
@@ -45,9 +65,13 @@ def _dense_oracle(plan, cols, noise=None):
                 psi = expm(-1j * dt * h) @ psi
             pops.append(np.abs(psi) ** 2)
         t_offset += stage.duration
-    pops = np.array(pops)
-    ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
-    return psi, np.array(times), np.einsum("sdc,d->s", pops, ryd), pops
+    pops, times = np.array(pops), np.array(times)
+    gamma = _single_rate(plan)
+    if gamma:
+        exposure = blocked + np.sum(np.abs(cols) ** 2 - np.abs(psi) ** 2) / gamma
+    else:
+        exposure = np.trapezoid(np.einsum("sdc,d->s", pops, ryd), times)
+    return psi, times, float(exposure), pops
 
 
 def propagate_rk(

@@ -257,6 +257,12 @@ def test_drive_validation():
     ("interactions", InteractionGraph.from_dict({(-1, "r", 1, "r"): 1.0})),
     ("collective_pairs", ((0, 7),)),
     ("collective_pairs", ((0, 0),)),
+    # built without from_dict, which rejects it: once a one-atom shift
+    ("interactions", InteractionGraph(((0, "r", 0, "r", 5.0),))),
+    # unknown or non-Rydberg levels: once a KeyError or ValueError only at propagation
+    ("frame_detunings", ((0, "x", 1.0),)),
+    ("interactions", InteractionGraph.from_dict({(0, "r", 1, "x"): 1.0})),
+    ("interactions", InteractionGraph.from_dict({(0, "1", 1, "r"): 1.0})),
 ])
 def test_spec_rejects_an_atom_outside_the_basis(field, value):
     # each once failed inside propagation (IndexError), or silently meant the

@@ -2,12 +2,13 @@
 
 The plans draw 1-3 atoms of 2-4 levels (at least two logical), square and
 Gaussian drives, random frame detunings, interactions between Rydberg
-levels, collective pairs, decay rates, optional Doppler shifts and
-intensity tracks, and 1-2 stages at small resolutions, so that every branch
-of the kernel runs: closed-form constant stages and 1-state blocks,
-node-interpolated and per-step time-dependent groups, two-cluster blocks,
-recorded and unrecorded runs.  Examples are derandomized, so the suite is
-deterministic.
+levels, collective pairs, decay rates (one rate on every Rydberg level, or
+a rate per level), optional Doppler shifts and intensity tracks, and 1-2
+stages at small resolutions, so that every branch of the kernel runs:
+closed-form constant stages and 1-state blocks, node-interpolated and
+per-step time-dependent groups, two-cluster blocks, recorded and unrecorded
+runs, on the decay-budget and the P_r path.  Examples are derandomized, so
+the suite is deterministic.
 """
 
 import math
@@ -36,13 +37,14 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=N
 
 
 @st.composite
-def schemes(draw):
+def schemes(draw, rate):
     n_levels = draw(st.integers(2, 4))
     n_logical = draw(st.integers(2, n_levels))
     n_rydberg = n_levels - n_logical
     labels = tuple(str(k) for k in range(n_logical)) + tuple(f"r{k}" for k in range(n_rydberg))
-    # few distinct rates, so blocks share and differ in decay
-    rates = tuple(draw(st.sampled_from([0.0, 0.4, 1.5])) for _ in range(n_rydberg))
+    # one rate on every Rydberg level (the decay budget gives the exposure), or
+    # few distinct rates per level, so blocks share and differ in decay
+    rates = tuple(rate if rate is not None else draw(st.sampled_from([0.0, 0.4, 1.5])) for _ in range(n_rydberg))
     return LevelScheme(labels, (False,) * n_logical + (True,) * n_rydberg, (0.0,) * n_logical + rates)
 
 
@@ -58,7 +60,7 @@ def drives(draw, atoms):
 @st.composite
 def cases(draw):
     """A random small plan, a noise realization or None, and two random unit columns."""
-    atoms = draw(st.lists(schemes(), min_size=1, max_size=3))
+    atoms = draw(st.lists(schemes(draw(st.sampled_from([None, 0.4]))), min_size=1, max_size=3))
     basis = build_basis(atoms)
     n = len(atoms)
     frame = tuple((a, label, draw(st.floats(-30.0, 30.0)))
@@ -92,11 +94,14 @@ def cases(draw):
 def test_kernel_matches_dense_oracle(case):
     plan, noise, cols = case
     res = propagate_matrix(plan, cols, noise, record_populations=True)
-    psi, times, p_r, pops = _dense_oracle(plan, cols, noise)
+    psi, times, exposure, pops = _dense_oracle(plan, cols, noise)
     assert np.max(np.abs(res.final_state - psi)) < 1e-9
     assert np.max(np.abs(res.population_traj - pops)) < 1e-9
     assert np.max(np.abs(res.times - times)) < 1e-12
-    assert abs(res.time_integrated_rydberg - np.trapezoid(p_r, times)) < 1e-9
+    assert abs(res.time_integrated_rydberg - exposure) < 1e-9
+    # a budget run takes its final states from the chunk products and its
+    # populations from a step pass: the two agree
+    assert np.max(np.abs(res.population_traj[-1] - np.abs(res.final_state) ** 2)) < 1e-12
 
 
 @PROPERTY
