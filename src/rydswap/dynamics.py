@@ -32,17 +32,18 @@ decay budget.  Its error is the steps' own norm drift over Gamma, so the
 budget serves only where Gamma T is large enough against a fixed drift per
 step (see _STEP_DRIFT); there, and in runs without decay or with unequal
 rates, the exposure is the trapezoid of P_r at t = 0 and every step end
-instead.  The path is chosen from the plan, before any step.  A budget run
-computes no P_r: closed-form groups take F^n by repeated squaring, and
-time-dependent groups reduce each chunk's step exponentials pairwise per
-distinct factor row and apply the product to the block states once per
-chunk, X <- phase^m A X B^T for two clusters.  A trapezoid run takes
-closed-form P_r as a trace against the Gram matrix of the initial states
-over the powers F^1..F^n, and steps the states of the other groups, one
-step at a time.  Recording populations changes no result: a recorded run
-reads them off the same powers, or steps a chunk's states from where its
-product starts.  ``propagate_matrix`` is that kernel, ``propagate`` its
-one-column view.
+instead.  The path is chosen from the plan, before any step.  On either
+path closed-form groups take F^n by repeated squaring.  A budget run
+computes no P_r: time-dependent groups reduce each chunk's step
+exponentials pairwise per distinct factor row and apply the product to the
+block states once per chunk, X <- phase^m A X B^T for two clusters.  A
+trapezoid run takes a closed-form block's P_r, summed over its step ends,
+as the trace of S = sum over k of (F^k)+ W F^k, built by halving n,
+against the Gram matrix of its initial states, and steps the states of the
+other groups through each chunk one step at a time.  Recording populations
+changes no result: a recorded run reads them off the powers F^1..F^n, or
+steps a chunk's states from where its product starts.
+``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
 """
 from __future__ import annotations
 
@@ -298,6 +299,18 @@ def _chunk_product(b: np.ndarray) -> np.ndarray:
     return b[0]
 
 
+def _gram_sum(f: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """The sum over k = 1..n of (f^k)+ diag(w) f^k, batched over the first axis, by halving n: 3-5 log2(n) products."""
+    s, p = np.swapaxes(f.conj(), -1, -2) @ (w[..., None] * f), f
+    for bit in bin(n)[3:]:  # s, p = S(m), f^m for m the leading bits of n: S(2m) = S(m) + (f^m)+ S(m) f^m
+        s = s + np.swapaxes(p.conj(), -1, -2) @ s @ p
+        p = p @ p
+        if bit == "1":
+            p = p @ f
+            s = s + np.swapaxes(p.conj(), -1, -2) @ (w[..., None] * p)
+    return s
+
+
 def _apply_factors(u: list[np.ndarray], x: np.ndarray, shapes: list[tuple]) -> np.ndarray:
     """The block states x (n_blocks, d_0, rest) times the Kronecker product of the per-block factors u, factor k on axis k."""
     for slot in range(1, len(u)):
@@ -315,16 +328,17 @@ def propagate_matrix(
 
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
-    Where _budget_rate gives the one decay rate Gamma, the exposure is the
-    norm lost over Gamma, since d|psi|^2/dt = -Gamma P_r, plus duration x
-    P_r of the states the collective truncation blocks (they neither move
-    nor decay); no P_r is computed, closed-form groups take F^n by repeated
-    squaring and time-dependent groups apply each chunk's pairwise-reduced
-    step product to the block states once.  A recorded run takes its final
-    states from the same products and its populations from a step pass.
-    Otherwise a stage adds dt (P_r(start) / 2 + sum of P_r at its step ends
-    - P_r(end) / 2) to the exposure, its trapezoid of P_r summed over the
-    columns.
+    Closed-form groups take F^n by repeated squaring.  Where _budget_rate
+    gives the one decay rate Gamma, the exposure is the norm lost over
+    Gamma, since d|psi|^2/dt = -Gamma P_r, plus duration x P_r of the states
+    the collective truncation blocks (they neither move nor decay); no P_r
+    is computed, and time-dependent groups apply each chunk's
+    pairwise-reduced step product to the block states once.  A recorded run
+    takes its final states from the same products and its populations from
+    a step pass.  Otherwise a stage adds dt (P_r(start) / 2 + sum of P_r at
+    its step ends - P_r(end) / 2) to the exposure, its trapezoid of P_r
+    summed over the columns: a closed-form block adds tr(S_b G_b)
+    (_gram_sum) to that sum, and the other groups step their states.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
@@ -370,36 +384,22 @@ def propagate_matrix(
                 i = group.index[first]
                 f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
                      if group.factor_index else np.ones((1, 1, 1)))
-                n_keys = 0
-                if need_pr:
-                    # Blocks of one key (r, |phase_b|, Rydberg weights W) have P_r = |phase|^2k tr(F_r^k+ W F_r^k G)
-                    # after k steps, with G the key's Gram matrix sum x x+ over its blocks and the columns.
-                    keys, key_first, key_of = np.unique(np.column_stack([row_of, diag[ref].imag, ryd_g]), axis=0,
-                                                        return_index=True, return_inverse=True)
-                    gram = np.equal.outer(np.arange(len(keys)), key_of) @ (
-                        psi_g.conj() @ np.swapaxes(psi_g, 1, 2)).reshape(n_blocks, d * d)
-                    n_keys = len(keys)
-                _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows, %d Gram keys",
-                           i_stage, n_blocks, d, n, len(rows), n_keys)
-                chunk = max(1, _CHUNK_ELEMENTS // (max(n_keys, len(rows)) * d * d))  # keys refine rows
-                if need_pr or record_populations:
+                _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows",
+                           i_stage, n_blocks, d, n, len(rows))
+                if need_pr:  # P_r summed over the step ends is tr(S_b G_b), with G_b the Gram matrix of x_b
+                    s = _gram_sum(np.abs(phase)[:, None, None] * f[row_of], ryd_g, n)
+                    p_steps += np.sum(psi_g.conj() * (s @ psi_g)).real
+                if record_populations:
+                    chunk = max(1, _CHUNK_ELEMENTS // (len(rows) * d * d))
                     base = f[None]  # F^1..F^chunk by doubling
                     while len(base) < min(n, chunk):
                         base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
                     for k0 in range(0, n, chunk):
                         k1 = min(n, k0 + chunk)
                         f_k = base[:k1 - k0] @ f_k[-1] if k0 else base[:k1 - k0]
-                        if need_pr:
-                            g = f_k[:, row_of[key_first]]
-                            m = (np.swapaxes(g.conj(), -1, -2) @ (ryd_g[key_first, :, None] * g)).reshape(
-                                k1 - k0, -1, d * d)
-                            decay = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), 2.0 * dt * diag[ref[key_first]].imag))
-                            p_steps += np.sum(decay * np.sum(m * gram, axis=-1)).real
-                        if record_populations:
-                            phase_k = phase[:, None, None] ** np.arange(k0 + 1, k1 + 1)[:, None, None, None]
-                            stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
-                f_n = f_k[-1] if need_pr else np.linalg.matrix_power(f, n)
-                psi_g = phase[:, None, None] ** n * (f_n[row_of] @ psi_g)
+                        phase_k = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), -1j * dt * diag[ref]))[..., None, None]
+                        stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
+                psi_g = phase[:, None, None] ** n * (np.linalg.matrix_power(f, n)[row_of] @ psi_g)
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
                 nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
@@ -414,11 +414,10 @@ def propagate_matrix(
                 dims = [len(i[0]) for i in group.factor_index]
                 # factor k acts on axis k of the block states; the factors commute, so the
                 # first goes last and writes the trajectory
-                # a step holds each block's exponentials and states; a budget run's chunk, a product per
-                # distinct row, is longer, and a recording step pass goes through it in steps of step_chunk
+                # a chunk holds a product per distinct row, and a step pass goes through it in steps of
+                # step_chunk, each holding every block's exponentials and states
+                chunk = max(1, _CHUNK_ELEMENTS // sum(len(i) * dk * dk for i, dk in zip(group.factor_index, dims)))
                 step_chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
-                chunk = step_chunk if need_pr else max(
-                    1, _CHUNK_ELEMENTS // sum(len(i) * dk * dk for i, dk in zip(group.factor_index, dims)))
                 psi_g = psi_g.reshape(n_blocks, dims[0], -1)
                 shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
                 for k0 in range(0, n, chunk):

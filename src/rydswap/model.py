@@ -163,9 +163,10 @@ class HamiltonianSpec:
     symmetric single-excitation state; the empty default keeps the complete
     product space.  Every atom that a drive, frame detuning, interaction
     entry or collective pair names must lie in [0, n_atoms), a collective
-    pair or interaction entry names two distinct atoms, every frame-detuning
-    and interaction level is one of its atom's, and interactions shift only
-    Rydberg levels (ValueError otherwise, naming the field and the entry).
+    pair or interaction entry names two distinct atoms, every drive,
+    frame-detuning and interaction level is one of its atom's, and
+    interactions shift only Rydberg levels (ValueError otherwise, naming the
+    field and the entry).
     """
 
     basis: ProductBasis
@@ -189,7 +190,8 @@ class HamiltonianSpec:
         for entry in self.interactions.entries:
             if entry[0] == entry[2]:
                 raise ValueError(f"interactions entry {entry!r} must name two distinct atoms")
-        levels = ([("frame_detunings", e, e[:2], False) for e in self.frame_detunings]
+        levels = ([("drives", d, (d.atom, label), False) for d in self.drives for label in (d.lower, d.upper)]
+                  + [("frame_detunings", e, e[:2], False) for e in self.frame_detunings]
                   + [("interactions", e, pair, True) for e in self.interactions.entries for pair in (e[:2], e[2:4])])
         for name, entry, (atom, label), rydberg in levels:
             scheme = self.basis.schemes[atom]
@@ -197,10 +199,6 @@ class HamiltonianSpec:
                 raise ValueError(f"{name} entry {entry!r} names level {label!r}, which atom {atom} does not have")
             if rydberg and not scheme.rydberg_flags[scheme.labels.index(label)]:
                 raise ValueError(f"{name} entry {entry!r} shifts the non-Rydberg level {label!r} of atom {atom}")
-        for d in self.drives:
-            scheme = self.basis.schemes[d.atom]
-            scheme.level_index(d.lower)
-            scheme.level_index(d.upper)
 
     def blocked_states(self) -> np.ndarray:
         """Mask of product states excluded by the collective truncation."""

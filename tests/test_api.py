@@ -7,6 +7,7 @@ simulator is checked against live in tests/oracles.py.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -83,3 +84,36 @@ def test_cold_start_imports_only_what_runs():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _required_bindings() -> set[str]:
+    """The "module:attr" names in perfbench/run.py's REQUIRED_BINDINGS, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    assigned = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    out, stack = set(), [assigned["REQUIRED_BINDINGS"]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and node.id in assigned:
+            stack.append(assigned[node.id])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and ":" in node.value:
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_benchmark_binding_resolves():
+    # the benchmark wraps these by name and fails a workload where one records
+    # no calls; a binding the library no longer has shows here, not after a run
+    bindings = _required_bindings()
+    assert {"rydswap.dynamics:expm", "rydswap.dynamics:np.linalg.eigh",
+            "rydswap.model:HamiltonianEvaluator.__call__"} <= bindings
+    missing = []
+    for binding in sorted(bindings):
+        module, attrs = binding.split(":")
+        obj = importlib.import_module(module)
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(binding)
+    assert missing == []

@@ -15,6 +15,7 @@ from rydswap.dynamics import (
     _affine_axes,
     _axis_nodes,
     _factor_exponentials,
+    _gram_sum,
     _nodes,
     _stage_steps,
     _tensor_weights,
@@ -174,10 +175,12 @@ def test_propagate_matrix_matches_vector_propagation():
     assert res.time_integrated_rydberg == pytest.approx(exposure, rel=1e-12)
 
 
-def test_exposure_sums_the_single_column_exposures():
-    # constant control stages take P_r from the Gram matrix summed over the
-    # columns, the time-dependent target stage from the stepped states
-    proto = make_protocol("C_SWAP_CCSdag", table_params("C_SWAP_CCSdag"))
+@pytest.mark.parametrize("lifetime", [400.0, None])
+def test_exposure_sums_the_single_column_exposures(lifetime):
+    # at 400 us the exposure is the decay budget; without decay the constant
+    # control stages take P_r as a trace against each block's Gram matrix over
+    # the columns, and the time-dependent target stage from the stepped states
+    proto = make_protocol("C_SWAP_CCSdag", replace(table_params("C_SWAP_CCSdag"), lifetime=lifetime))
     cols = np.eye(proto.basis.dim, dtype=complex)[:, list(proto.basis.comp_indices)]
     res = propagate_matrix(proto.plan, cols)
     exposures = [propagate(proto.plan, c).time_integrated_rydberg for c in cols.T]
@@ -185,21 +188,36 @@ def test_exposure_sums_the_single_column_exposures():
     assert res.time_integrated_rydberg == pytest.approx(sum(exposures), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 200, 3200])
+def test_gram_sum_halving_matches_the_explicit_sum(n):
+    # a batch of non-unitary 3 x 3 steps, scaled to spectral radius 0.999
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    f *= 0.999 / np.max(np.abs(np.linalg.eigvals(f)), axis=1)[:, None, None]
+    w = rng.uniform(0.0, 2.0, (4, 3))
+    explicit, p = np.zeros_like(f), np.broadcast_to(np.eye(3), f.shape)
+    for _ in range(n):
+        p = p @ f
+        explicit += np.swapaxes(p.conj(), -1, -2) @ (w[..., None] * p)
+    assert np.max(np.abs(_gram_sum(f, w, n) - explicit)) <= 1e-12 * np.max(np.abs(explicit))
+
+
 @pytest.mark.parametrize("name", ["SWAP", "iSWAP", "sqrt_iSWAP", "C_iSWAP", "C_SWAP_CCSdag", "bSWAP"])
 def test_norm_budget_every_input(name):
     # population lost to decay plus population left adds up to the input's,
     # and with one decay rate on every Rydberg level the loss summed over the
-    # inputs is that rate times the exposure
+    # inputs, over that rate, is the trapezoid of the recorded P_r
     params = table_params(name)
     proto = make_protocol(name, params)
     plan, basis = proto.plan, proto.basis
     cols = np.eye(basis.dim, dtype=complex)[:, list(basis.comp_indices)]
     assert cols.shape[1] == 2 ** proto.n_qubits
-    res = propagate_matrix(plan, cols)
+    res = propagate_matrix(plan, cols, record_populations=True)
     final_norms = np.sum(np.abs(res.final_state) ** 2, axis=0)
     assert np.all(res.norm_loss > 0.0)
     assert np.max(np.abs(res.norm_loss + final_norms - np.sum(np.abs(cols) ** 2, axis=0))) < 1e-12
-    assert np.sum(res.norm_loss) == pytest.approx(params.decay_rate * res.time_integrated_rydberg, rel=1e-7)
+    p_r = np.einsum("sdc,d->s", res.population_traj, basis.rydberg_projector_diagonal())
+    assert np.sum(res.norm_loss) / params.decay_rate == pytest.approx(np.trapezoid(p_r, res.times), rel=1e-7)
 
 
 def _blocked_plan():

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rydswap.basis import LevelScheme, build_basis
-from rydswap.dynamics import Stage, StagePlan, StepPolicy, propagate_matrix
+from rydswap.dynamics import Stage, StagePlan, StepPolicy, _stage_steps, propagate_matrix
 from rydswap.model import (
     INTENSITY_INTERVAL,
     DriveTerm,
@@ -58,9 +58,9 @@ def drives(draw, atoms):
 
 
 @st.composite
-def cases(draw):
-    """A random small plan, a noise realization or None, and two random unit columns."""
-    atoms = draw(st.lists(schemes(draw(st.sampled_from([None, 0.4]))), min_size=1, max_size=3))
+def cases(draw, decay=True):
+    """A random small plan, a noise realization or None, and two random unit columns; decay=False draws no decay."""
+    atoms = draw(st.lists(schemes(draw(st.sampled_from([None, 0.4])) if decay else 0.0), min_size=1, max_size=3))
     basis = build_basis(atoms)
     n = len(atoms)
     frame = tuple((a, label, draw(st.floats(-30.0, 30.0)))
@@ -124,3 +124,23 @@ def test_propagation_is_linear_in_the_columns(case, a, b):
     assert np.max(np.abs(out[:, 2] - (a * out[:, 0] + b * out[:, 1]))) < 1e-12
     for j in range(2):  # a column propagates the same alone as in a batch
         assert np.max(np.abs(propagate_matrix(plan, cols[:, j:j + 1], noise).final_state[:, 0] - out[:, j])) < 1e-12
+
+
+@PROPERTY
+@given(cases(decay=False))
+def test_undriven_atoms_keep_their_level_populations(case):
+    # H is diagonal in the levels of an atom that no drive of the stage names
+    # (frame, interaction, Doppler and truncation terms all are)
+    plan, noise, cols = case
+    res = propagate_matrix(plan, cols, noise, record_populations=True)
+    basis = plan.stages[0].spec.basis
+    start = 0
+    for stage in plan.stages:
+        n = _stage_steps(stage, plan.policy)
+        pops = res.population_traj[start:start + n + 1]  # the stage's start and its step ends
+        driven = {d.atom for d in stage.spec.drives}
+        for atom, levels in enumerate(basis.level_arrays()):
+            if atom not in driven:
+                per_level = np.einsum("sdc,dl->slc", pops, np.equal.outer(levels, np.arange(levels.max() + 1)))
+                assert np.max(np.abs(per_level - per_level[0])) < 1e-12
+        start += n
