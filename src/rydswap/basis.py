@@ -1,13 +1,15 @@
 """Multi-atom product bases for small dense Hilbert spaces.
 
 Each atom carries an ordered list of internal levels; the product basis is
-indexed mixed-radix with atom 0 most significant.  Dimensions in this package
-stay at or below a few hundred, so states and operators are plain dense
-complex numpy arrays throughout.
+indexed mixed-radix with atom 0 most significant.  Every Rydberg-flagged
+level of every atom decays at the basis's one rate.  Dimensions in this
+package stay at or below a few hundred, so states and operators are plain
+dense complex numpy arrays throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,30 +25,22 @@ class LevelScheme:
         Ordered level identifiers, e.g. ``("0", "1", "r")``.  The first
         levels are the logical qubit states.
     rydberg_flags : tuple of bool
-        Marks which levels have Rydberg character (interact, decay).
-    decay_rates : tuple of float
-        Population decay rate per level in 1/us.  Nonzero only for
-        Rydberg-flagged levels.
+        Marks which levels have Rydberg character: they interact, and they
+        decay at the rate of the basis the scheme is part of.
     """
 
     labels: tuple[str, ...]
     rydberg_flags: tuple[bool, ...]
-    decay_rates: tuple[float, ...]
 
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError(f"duplicate level labels: {self.labels}")
-        if len(self.rydberg_flags) != n or len(self.decay_rates) != n:
-            raise ValueError("labels, rydberg_flags and decay_rates must have equal length")
+        if len(self.rydberg_flags) != n:
+            raise ValueError("labels and rydberg_flags must have equal length")
         n_logical = sum(1 for f in self.rydberg_flags if not f)
         if n_logical < 2:
             raise ValueError("a scheme needs at least two non-Rydberg logical levels")
-        for lab, flag, rate in zip(self.labels, self.rydberg_flags, self.decay_rates):
-            if rate < 0:
-                raise ValueError(f"negative decay rate on level {lab!r}")
-            if rate > 0 and not flag:
-                raise ValueError(f"decay on non-Rydberg level {lab!r}")
 
     @property
     def n_levels(self) -> int:
@@ -59,15 +53,9 @@ class LevelScheme:
             raise KeyError(f"unknown level {label!r} (have {self.labels})") from None
 
 
-def qubit_scheme(
-    rydberg_labels: tuple[str, ...] = ("r",),
-    decay_rate: float = 0.0,
-) -> LevelScheme:
-    """Logical |0>, |1> plus one or more decaying Rydberg levels."""
-    labels = ("0", "1") + rydberg_labels
-    flags = (False, False) + (True,) * len(rydberg_labels)
-    rates = (0.0, 0.0) + (decay_rate,) * len(rydberg_labels)
-    return LevelScheme(labels, flags, rates)
+def qubit_scheme(rydberg_labels: tuple[str, ...] = ("r",)) -> LevelScheme:
+    """Logical |0>, |1> plus one or more Rydberg levels."""
+    return LevelScheme(("0", "1") + rydberg_labels, (False, False) + (True,) * len(rydberg_labels))
 
 
 @dataclass(frozen=True)
@@ -77,10 +65,12 @@ class ProductBasis:
     Atom 0 is most significant; within each atom the level order follows its
     scheme.  ``comp_indices`` lists, in lexicographic qubit order 00..0 to
     11..1, the basis indices whose atoms all occupy their first two levels,
-    the qubit levels ``0`` and ``1``.
+    the qubit levels ``0`` and ``1``.  Every Rydberg-flagged level decays at
+    ``decay_rate`` in 1/us, finite and at least 0 (ValueError otherwise).
     """
 
     schemes: tuple[LevelScheme, ...]
+    decay_rate: float = 0.0
     dim: int = field(init=False)
     comp_indices: tuple[int, ...] = field(init=False)
     _levels: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
@@ -88,6 +78,8 @@ class ProductBasis:
     def __post_init__(self):
         if not self.schemes:
             raise ValueError("need at least one atom")
+        if not (math.isfinite(self.decay_rate) and self.decay_rate >= 0):
+            raise ValueError(f"decay_rate must be finite and >= 0, got {self.decay_rate!r}")
         dim = 1
         for s in self.schemes:
             dim *= s.n_levels
@@ -153,13 +145,8 @@ class ProductBasis:
         return np.sum(self.rydberg_masks(), axis=0, dtype=float)
 
     def decay_diagonal(self) -> np.ndarray:
-        """Diagonal of the total population decay rate, 1/us."""
-        diag = np.zeros(self.dim)
-        levels = self.level_arrays()
-        for a, scheme in enumerate(self.schemes):
-            rates = np.asarray(scheme.decay_rates)
-            diag += rates[levels[a]]
-        return diag
+        """Diagonal of the total population decay rate, 1/us: decay_rate per Rydberg atom."""
+        return self.decay_rate * self.rydberg_projector_diagonal()
 
     def basis_state(self, labels) -> np.ndarray:
         """Unit vector for a labelled product state."""
@@ -168,7 +155,7 @@ class ProductBasis:
         return psi
 
 
-def build_basis(schemes) -> ProductBasis:
-    """Construct a ProductBasis from a list of LevelScheme."""
-    return ProductBasis(tuple(schemes))
+def build_basis(schemes, decay_rate: float = 0.0) -> ProductBasis:
+    """Construct a ProductBasis from a list of LevelScheme, decaying at decay_rate (1/us) per Rydberg atom."""
+    return ProductBasis(tuple(schemes), decay_rate)
 

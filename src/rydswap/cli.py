@@ -295,7 +295,7 @@ def cmd_calibrate(args, cp, variant, params):
         _protocol(variant, params)  # the gate calibrate_duration runs
     t_est, t_half = swap_time_estimate(params.omega1_max, params.delta)
     plan_factory = lambda t: two_target_plan(params, t)
-    basis = plan_factory(1.0).stages[0].spec.basis
+    basis = plan_factory(1.0).basis
     psi_in = basis.basis_state(("0", "1"))
     out_index = basis.index_of(("1", "0"))
     transfer = abs(_member(variant, params.n_controls)[0].exchange[2][1])  # |<10|E|01>|

@@ -25,14 +25,14 @@ Where the grid would outnumber the steps the nodes are the steps
 themselves.  The interpolant is checked against a direct exponential at
 the step of largest Lebesgue sum.
 
+A plan runs on one basis, whose Rydberg levels all decay at one rate Gamma.
 A run reports one Rydberg exposure, the time integral of P_r summed over
-its columns.  Where every Rydberg level decays at one rate Gamma,
-d|psi|^2/dt = -Gamma P_r, so the exposure is the norm lost over Gamma: the
-decay budget.  Its error is the steps' own norm drift over Gamma, so the
-budget serves only where Gamma T is large enough against a fixed drift per
-step (see _STEP_DRIFT); there, and in runs without decay or with unequal
-rates, the exposure is the trapezoid of P_r at t = 0 and every step end
-instead.  The path is chosen from the plan, before any step.  On either
+its columns.  Since d|psi|^2/dt = -Gamma P_r, the exposure is the norm lost
+over Gamma: the decay budget.  Its error is the steps' own norm drift over
+Gamma, so the budget serves only where Gamma T is large enough against a
+fixed drift per step (see _STEP_DRIFT); elsewhere, and without decay, the
+exposure is the trapezoid of P_r at t = 0 and every step end instead.  The
+path is chosen from the plan, before any step.  On either
 path closed-form groups take F^n by repeated squaring.  A budget run
 computes no P_r: time-dependent groups reduce each chunk's step
 exponentials pairwise per distinct factor row and apply the product to the
@@ -55,6 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
+from .basis import ProductBasis
 from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization
 
 # Step propagators and states are built in chunks of steps of about this many
@@ -128,8 +129,20 @@ class Stage:
 
 @dataclass(frozen=True)
 class StagePlan:
+    """Stages run in order under one step policy, at least one and all on one basis (ValueError otherwise)."""
+
     stages: tuple[Stage, ...]
     policy: StepPolicy = StepPolicy()
+
+    def __post_init__(self):
+        if not self.stages:
+            raise ValueError("a stage plan needs at least one stage")
+        if any(stage.spec.basis != self.basis for stage in self.stages):
+            raise ValueError("every stage of a plan must be on one basis")
+
+    @property
+    def basis(self) -> ProductBasis:
+        return self.stages[0].spec.basis
 
     @property
     def total_duration(self) -> float:
@@ -145,10 +158,10 @@ class PropagationResult:
     |psi0|^2 - |psi|^2, the population lost to Rydberg decay.
     time_integrated_rydberg is the exposure, the integral in us of the
     Rydberg population P_r summed over the columns: the summed norm loss
-    over Gamma where every Rydberg level decays at the one rate Gamma and
-    Gamma T is large enough that the steps' own norm drift over Gamma stays
-    within 1e-9 T |psi0|^2 (see _STEP_DRIFT), and otherwise the trapezoid of
-    P_r sampled at t = 0 and at the end of every integrator step.  When
+    over the basis's decay rate Gamma where Gamma T is large enough that the
+    steps' own norm drift over Gamma stays within 1e-9 T |psi0|^2 (see
+    _STEP_DRIFT), and otherwise the trapezoid of P_r sampled at t = 0 and at
+    the end of every integrator step.  When
     populations are recorded, population_traj holds |psi|^2 per basis state
     at those samples and times their times; otherwise both are None.
     Recording changes none of the other fields.
@@ -275,20 +288,10 @@ def _interpolation_gap(group: BlockGroup, energies, factors: np.ndarray, node_ex
 
 
 def _budget_rate(plan: StagePlan) -> float:
-    """Gamma where the run reads its exposure off the decay budget, else 0.
-
-    That is where every stage's basis decays at the one rate Gamma on every
-    Rydberg level and nowhere else (doubly-Rydberg states at 2 Gamma), and
-    Gamma T passes the cut n _STEP_DRIFT / _BUDGET_TOL for the plan's n
-    steps and duration T.
-    """
-    basis = plan.stages[0].spec.basis
-    ryd = basis.rydberg_projector_diagonal()
-    gamma = float(np.max(basis.decay_diagonal() / np.maximum(ryd, 1.0)))
-    single = gamma > 0.0 and all(np.allclose(stage.spec.basis.decay_diagonal(), gamma * ryd, rtol=1e-12, atol=0.0)
-                                 for stage in plan.stages)
+    """The basis's decay rate Gamma if Gamma T >= n _STEP_DRIFT / _BUDGET_TOL for n steps over T, else 0."""
+    gamma = plan.basis.decay_rate
     n = sum(_stage_steps(stage, plan.policy) for stage in plan.stages)
-    return gamma if single and gamma * plan.total_duration * _BUDGET_TOL >= n * _STEP_DRIFT else 0.0
+    return gamma if gamma * plan.total_duration * _BUDGET_TOL >= n * _STEP_DRIFT else 0.0
 
 
 def _chunk_product(b: np.ndarray) -> np.ndarray:
@@ -329,7 +332,7 @@ def propagate_matrix(
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
     Closed-form groups take F^n by repeated squaring.  Where _budget_rate
-    gives the one decay rate Gamma, the exposure is the norm lost over
+    gives the basis's decay rate Gamma, the exposure is the norm lost over
     Gamma, since d|psi|^2/dt = -Gamma P_r, plus duration x P_r of the states
     the collective truncation blocks (they neither move nor decay); no P_r
     is computed, and time-dependent groups apply each chunk's
@@ -343,14 +346,14 @@ def propagate_matrix(
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
         raise ValueError("initial state norm exceeds 1")
-    if any(stage.spec.basis.dim != len(columns) for stage in plan.stages):
-        raise ValueError("stage basis dimension does not match the propagated state")
+    if plan.basis.dim != len(columns):
+        raise ValueError("plan basis dimension does not match the propagated state")
     gamma = _budget_rate(plan)
     cols = columns.astype(complex)
     n_cols = cols.shape[1]
     need_pr = not gamma
 
-    ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
+    ryd = plan.basis.rydberg_projector_diagonal()
     p_end = ryd @ np.sum(np.abs(cols) ** 2, axis=1)
     exposure = 0.0
     times = [np.zeros(1)]

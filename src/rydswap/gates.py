@@ -163,7 +163,7 @@ class GateProtocol:
 
     @property
     def basis(self) -> ProductBasis:
-        return self.plan.stages[0].spec.basis
+        return self.plan.basis
 
     @property
     def n_qubits(self) -> int:
@@ -184,10 +184,10 @@ class GateReport:
     result tables use.  fidelity is the process fidelity of the renormalized
     gate (rotation and phase errors only); fidelity_with_loss scores u_gate
     itself, so decay counts against it.  t_bar_r is the Rydberg exposure
-    per input, integral of P_r dt in us: with one decay rate it is the lost
-    norm over that rate where the rate is large enough for the steps' own
-    norm drift (dynamics._STEP_DRIFT), and otherwise the trapezoid of P_r at
-    the integrator's step ends (PropagationResult.time_integrated_rydberg).
+    per input, integral of P_r dt in us: the lost norm over the basis's
+    decay rate where that rate is large enough for the steps' own norm drift
+    (dynamics._STEP_DRIFT), and otherwise the trapezoid of P_r at the
+    integrator's step ends (PropagationResult.time_integrated_rydberg).
     Phases follow the tabulated, accumulated-phase sign convention: the
     argument is minus the propagator's.
     """
@@ -291,9 +291,8 @@ def make_protocol(variant: str, params: GateParams) -> GateProtocol:
         raise ValueError(f"{variant} requires a control-target interaction v_ct")
 
     pulses = tuple((str(c), level) for c, level in enumerate(member.levels) if level)
-    target_scheme = qubit_scheme(("r",), params.decay_rate)
-    control_scheme = qubit_scheme(tuple(filter(None, member.levels)), params.decay_rate)
-    basis = build_basis([control_scheme] * n_controls + [target_scheme] * member.n_targets)
+    control_scheme = qubit_scheme(tuple(filter(None, member.levels)))
+    basis = build_basis([control_scheme] * n_controls + [qubit_scheme()] * member.n_targets, params.decay_rate)
 
     interactions = _interaction_graph(member, params, n_controls)
     frame = standard_target_frame(params.delta, range(n_controls, basis.n_atoms))

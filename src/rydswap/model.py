@@ -39,7 +39,7 @@ class Envelope:
 
     with sigma = T/4, exactly zero at t = 0 and t = T; the square envelope
     is amplitude on all of [0, T].  A drive on for part of the time is a
-    stage of its own.
+    stage of its own.  The amplitude must be finite (ValueError otherwise).
     """
 
     kind: str
@@ -48,6 +48,8 @@ class Envelope:
     def __post_init__(self):
         if self.kind not in ("truncated_gaussian", "square"):
             raise ValueError(f"unknown envelope kind {self.kind!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"{self.kind} envelope amplitude must be finite, got {self.amplitude!r}")
 
 
 def envelope_value(env: Envelope, t, duration: float):
@@ -164,9 +166,9 @@ class HamiltonianSpec:
     product space.  Every atom that a drive, frame detuning, interaction
     entry or collective pair names must lie in [0, n_atoms), a collective
     pair or interaction entry names two distinct atoms, every drive,
-    frame-detuning and interaction level is one of its atom's, and
-    interactions shift only Rydberg levels (ValueError otherwise, naming the
-    field and the entry).
+    frame-detuning and interaction level is one of its atom's, every frame
+    energy and interaction shift is finite, and interactions shift only
+    Rydberg levels (ValueError otherwise, naming the field and the entry).
     """
 
     basis: ProductBasis
@@ -190,6 +192,10 @@ class HamiltonianSpec:
         for entry in self.interactions.entries:
             if entry[0] == entry[2]:
                 raise ValueError(f"interactions entry {entry!r} must name two distinct atoms")
+        for name, entry, value in ([("frame_detunings", e, e[2]) for e in self.frame_detunings]
+                                   + [("interactions", e, e[4]) for e in self.interactions.entries]):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} entry {entry!r} has the non-finite value {value!r}")
         levels = ([("drives", d, (d.atom, label), False) for d in self.drives for label in (d.lower, d.upper)]
                   + [("frame_detunings", e, e[:2], False) for e in self.frame_detunings]
                   + [("interactions", e, pair, True) for e in self.interactions.entries for pair in (e[:2], e[2:4])])

@@ -8,11 +8,14 @@ simulator is checked against live in tests/oracles.py.
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rydswap"
@@ -80,9 +83,21 @@ assert rydswap.dynamics.expm is scipy.linalg.expm
 """
 
 
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_cold_start_imports_only_what_runs():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_benchmark_setup_runs(workload):
+    # the benchmark's set-up builds every protocol it times through the public
+    # constructors; a constructor change that breaks it shows here, not after a run
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), workload], env=_src_env(),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_comp_indices_increasing_and_logical():
         labels = basis.labels_of(i)
         assert all(lab in ("0", "1") for lab in labels)
     # a third logical level is not a qubit level; the bits keep their order
-    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True), (0.0,) * 4)
+    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True))
     basis = build_basis([four, qubit_scheme(("rP", "rD")), four])
     bits = [format(k, "03b") for k in range(8)]
     assert basis.comp_indices == tuple(basis.index_of(tuple(b)) for b in bits)
@@ -62,11 +64,12 @@ def test_comp_indices_increasing_and_logical():
 
 def test_scheme_validation():
     with pytest.raises(ValueError):
-        LevelScheme(("0",), (False,), (0.0,))
+        LevelScheme(("0",), (False,))
     with pytest.raises(ValueError):
-        LevelScheme(("0", "1", "r"), (False, False, True), (0.0, 0.0, -1.0))
-    with pytest.raises(ValueError):
-        LevelScheme(("0", "1", "x"), (False, False, False), (0.0, 0.0, 0.1))
+        LevelScheme(("0", "1", "r"), (False, False))
+    for rate in (-0.1, math.nan, math.inf):  # the basis's one Rydberg decay rate
+        with pytest.raises(ValueError, match="decay_rate"):
+            build_basis([qubit_scheme()] * 2, rate)
     with pytest.raises(ValueError):
         build_basis([])
     with pytest.raises(KeyError):
@@ -90,7 +93,7 @@ def test_matrix_products_match_naive_loops():
 
 
 def test_rydberg_and_decay_diagonals():
-    basis = build_basis([qubit_scheme(("r",), 0.25)] * 2)
+    basis = build_basis([qubit_scheme()] * 2, 0.25)
     ryd = basis.rydberg_projector_diagonal()
     assert ryd[basis.index_of(("r", "r"))] == 2.0
     assert ryd[basis.index_of(("0", "1"))] == 0.0
@@ -100,7 +103,7 @@ def test_rydberg_and_decay_diagonals():
 
 
 def test_level_arrays_built_once_read_only():
-    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True), (0.0,) * 4)
+    four = LevelScheme(("0", "1", "p", "r"), (False, False, False, True))
     basis = build_basis([qubit_scheme(("r",)), four, qubit_scheme(("r", "s"))])
     first, second = basis.level_arrays(), basis.level_arrays()
     assert len(first) == basis.n_atoms

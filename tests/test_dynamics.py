@@ -230,8 +230,8 @@ def _blocked_plan():
     "omega2" family.
     """
     g = 1.0 / 400.0  # the catalog's Rydberg decay rate, 1/us
-    atom0 = LevelScheme(("0", "1", "ra", "rb", "rc", "rd"), (False, False) + (True,) * 4, (0.0, 0.0) + (g,) * 4)
-    basis = build_basis([atom0, qubit_scheme(("r",), g)])
+    atom0 = LevelScheme(("0", "1", "ra", "rb", "rc", "rd"), (False, False) + (True,) * 4)
+    basis = build_basis([atom0, qubit_scheme()], g)
     frame = ((0, "1", TWO_PI * 3.0), (0, "rd", TWO_PI * 7.0), (1, "1", TWO_PI * 2.0), (1, "r", TWO_PI * 5.0))
     t1, t2 = 0.13, 0.9
     first = (DriveTerm(0, "0", "ra", square_pulse(TWO_PI * 4.0), family="omega1"),)
@@ -351,11 +351,11 @@ def _constant_stage_plan():
 
     Atom 1 is never driven and nothing interacts, so all five blocks share
     one factor row.  Their reference states differ: atom 1 in |0> or |1>
-    (no decay, no Rydberg weight, different energies), in ra or rb (Rydberg,
-    two decay rates) or in rc (Rydberg without decay).
+    (no decay, no Rydberg weight, different energies) or in ra, rb or rc
+    (Rydberg, decaying at the basis's one rate, rb at another energy).
     """
-    atom1 = LevelScheme(("0", "1", "ra", "rb", "rc"), (False, False, True, True, True), (0.0, 0.0, 0.5, 2.0, 0.0))
-    basis = build_basis([qubit_scheme(("r",), 1.0), atom1])
+    atom1 = LevelScheme(("0", "1", "ra", "rb", "rc"), (False, False, True, True, True))
+    basis = build_basis([qubit_scheme(), atom1], 1.0)
     frame = ((0, "1", TWO_PI * 3.0), (1, "1", TWO_PI * 2.0), (1, "rb", TWO_PI * 5.0), (0, "r", TWO_PI * 1.5))
     drives = (DriveTerm(0, "0", "1", square_pulse(TWO_PI * 4.0), family="omega1"),
               DriveTerm(0, "1", "r", square_pulse(TWO_PI * 6.0), family="omega2"))
@@ -388,7 +388,7 @@ def test_two_cluster_budget_run_matches_dense_oracle(per_step, small_chunks, mon
         monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: math.inf)
     if small_chunks:
         monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 300)
-    basis = build_basis([qubit_scheme(("r",), 1.0 / 400.0)] * 2)
+    basis = build_basis([qubit_scheme()] * 2, 1.0 / 400.0)
     drives = (DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 9.0)),
               DriveTerm(1, "0", "1", square_pulse(TWO_PI * 4.0)),
               DriveTerm(1, "1", "r", gaussian_pulse(TWO_PI * 6.0)))
@@ -496,7 +496,7 @@ def test_three_independent_drives_take_the_steps_as_nodes():
     # three Gaussians under independent intensity tracks span three axes;
     # their tensor grid would outnumber the steps, so every step is
     # exponentiated
-    basis = build_basis([LevelScheme(("0", "1", "r", "s"), (False, False, True, True), (0.0, 0.0, 0.01, 0.01))])
+    basis = build_basis([LevelScheme(("0", "1", "r", "s"), (False, False, True, True))], 0.01)
     drives = (DriveTerm(0, "0", "1", gaussian_pulse(TWO_PI * 300.0), family="a"),
               DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 250.0), family="b"),
               DriveTerm(0, "r", "s", gaussian_pulse(TWO_PI * 200.0), family="c"))
@@ -546,3 +546,24 @@ def test_stage_rejects_a_duration_it_cannot_step(duration):
     _, spec = _free_spec()
     with pytest.raises(ValueError, match="stage duration"):
         Stage(duration, spec)
+
+
+def test_stage_plan_runs_on_one_basis():
+    # level 2 is Rydberg in one basis and logical in the other, and both have
+    # dimension 3.  Before plans were held to one basis, two undriven 1 us
+    # stages with the population parked in level 2 took stage 0's Rydberg
+    # weights for both: an exposure of 2.0 us with the Rydberg basis first and
+    # 0.0 with it second, where 1.0 was right both ways.  An empty plan failed
+    # with an IndexError inside propagation.
+    rydberg = build_basis([LevelScheme(("0", "1", "r"), (False, False, True))])
+    logical = build_basis([LevelScheme(("0", "1", "p"), (False, False, False))])
+    for first, second in ((rydberg, logical), (logical, rydberg)):
+        with pytest.raises(ValueError, match="one basis"):
+            StagePlan((Stage(1.0, HamiltonianSpec(first)), Stage(1.0, HamiltonianSpec(second))))
+    with pytest.raises(ValueError, match="one basis"):  # the same levels, another decay rate
+        StagePlan((Stage(1.0, HamiltonianSpec(rydberg)), Stage(1.0, HamiltonianSpec(replace(rydberg, decay_rate=0.1)))))
+    with pytest.raises(ValueError, match="at least one stage"):
+        StagePlan(())
+    plan = StagePlan((Stage(1.0, HamiltonianSpec(rydberg)), Stage(1.0, HamiltonianSpec(build_basis(rydberg.schemes)))))
+    assert plan.basis is rydberg
+    assert propagate(plan, rydberg.basis_state(("r",))).time_integrated_rydberg == pytest.approx(2.0, rel=1e-12)

@@ -2,8 +2,8 @@
 
 The plans draw 1-3 atoms of 2-4 levels (at least two logical), square and
 Gaussian drives, random frame detunings, interactions between Rydberg
-levels, collective pairs, decay rates (one rate on every Rydberg level, or
-a rate per level), optional Doppler shifts and intensity tracks, and 1-2
+levels, collective pairs, one decay rate per basis (0, 0.4 or 1.5 per us on
+every Rydberg level), optional Doppler shifts and intensity tracks, and 1-2
 stages at small resolutions, so that every branch of the kernel runs:
 closed-form constant stages and 1-state blocks, node-interpolated and
 per-step time-dependent groups, two-cluster blocks, recorded and unrecorded
@@ -37,15 +37,12 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=N
 
 
 @st.composite
-def schemes(draw, rate):
+def schemes(draw):
     n_levels = draw(st.integers(2, 4))
     n_logical = draw(st.integers(2, n_levels))
     n_rydberg = n_levels - n_logical
     labels = tuple(str(k) for k in range(n_logical)) + tuple(f"r{k}" for k in range(n_rydberg))
-    # one rate on every Rydberg level (the decay budget gives the exposure), or
-    # few distinct rates per level, so blocks share and differ in decay
-    rates = tuple(rate if rate is not None else draw(st.sampled_from([0.0, 0.4, 1.5])) for _ in range(n_rydberg))
-    return LevelScheme(labels, (False,) * n_logical + (True,) * n_rydberg, (0.0,) * n_logical + rates)
+    return LevelScheme(labels, (False,) * n_logical + (True,) * n_rydberg)
 
 
 @st.composite
@@ -60,8 +57,9 @@ def drives(draw, atoms):
 @st.composite
 def cases(draw, decay=True):
     """A random small plan, a noise realization or None, and two random unit columns; decay=False draws no decay."""
-    atoms = draw(st.lists(schemes(draw(st.sampled_from([None, 0.4])) if decay else 0.0), min_size=1, max_size=3))
-    basis = build_basis(atoms)
+    atoms = draw(st.lists(schemes(), min_size=1, max_size=3))
+    # without decay the exposure is the trapezoid of P_r; with it, the decay budget
+    basis = build_basis(atoms, draw(st.sampled_from([0.0, 0.4, 1.5])) if decay else 0.0)
     n = len(atoms)
     frame = tuple((a, label, draw(st.floats(-30.0, 30.0)))
                   for a, s in enumerate(atoms) for label in s.labels if draw(st.booleans()))
@@ -133,7 +131,10 @@ def test_undriven_atoms_keep_their_level_populations(case):
     # (frame, interaction, Doppler and truncation terms all are)
     plan, noise, cols = case
     res = propagate_matrix(plan, cols, noise, record_populations=True)
-    basis = plan.stages[0].spec.basis
+    # without decay both exposures are a trapezoid of P_r: 8.1e-15 relative apart at worst over 200 examples
+    exposure = _dense_oracle(plan, cols, noise)[2]
+    assert abs(res.time_integrated_rydberg - exposure) <= 1e-12 * abs(exposure)
+    basis = plan.basis
     start = 0
     for stage in plan.stages:
         n = _stage_steps(stage, plan.policy)
