@@ -102,10 +102,17 @@ class InteractionGraph:
 
     entries maps (atom_i, level_a, atom_j, level_b) -> shift V in rad/us,
     applied on product states where atom_i occupies level_a and atom_j
-    occupies level_b.  from_dict stores each entry with atom_i < atom_j.
+    occupies level_b.  from_dict stores each entry with atom_i < atom_j.  Two
+    entries on the same unordered pair of (atom, level) raise ValueError.
     """
 
     entries: tuple[tuple[int, str, int, str, float], ...] = ()
+
+    def __post_init__(self):
+        pairs = [frozenset((tuple(e[:2]), tuple(e[2:4]))) for e in self.entries]
+        for k, entry in enumerate(self.entries):
+            if pairs[k] in pairs[:k]:
+                raise ValueError(f"interactions entry {entry!r} names a pair of levels given before")
 
     @staticmethod
     def from_dict(d: dict) -> "InteractionGraph":
@@ -246,13 +253,6 @@ class HamiltonianSpec:
             edges.append(np.array([np.full(np.sum(keep), k), src[keep], dst[keep]]))
         return np.concatenate(edges, axis=1)
 
-    def coupling_matrices(self) -> np.ndarray:
-        """(|upper><lower| + h.c.)/2 per drive, in drive order, on the pairs of drive_edges."""
-        drive, src, dst = self.drive_edges()
-        mats = np.zeros((len(self.drives), self.basis.dim, self.basis.dim), dtype=complex)
-        mats[drive, src, dst] = mats[drive, dst, src] = 0.5
-        return mats
-
     def block_groups(self) -> tuple[BlockGroup, ...]:
         """H's diagonal blocks by increasing size, derived from the atoms and cached by structure.
 
@@ -262,7 +262,7 @@ class HamiltonianSpec:
         component per cluster.  Labels that shift a cluster alike share its
         factor rows.
         """
-        key = (self.basis, tuple((d.atom, d.lower, d.upper) for d in self.drives), self.interactions,
+        key = (self.basis.schemes, tuple((d.atom, d.lower, d.upper) for d in self.drives), self.interactions,
                self.collective_pairs)
         if key not in _BLOCK_GROUPS:
             if len(_BLOCK_GROUPS) >= 64:
@@ -295,9 +295,9 @@ class BlockGroup:
             a.setflags(write=False)  # groups are cached and shared
 
 
-# Block structures by (basis, drive level pairs, interactions, collective
-# pairs).  The energies enter at propagation time, so the Monte Carlo shots
-# and the detuning, amplitude and duration scan points of a protocol share one.
+# Block structures by (levels, drive level pairs, interactions, collective
+# pairs).  Energies and decay enter at propagation time, so the Monte Carlo
+# shots and the detuning, amplitude, duration and lifetime scans share one.
 _BLOCK_GROUPS: dict = {}
 
 
@@ -361,12 +361,12 @@ def _derive_block_groups(spec: HamiltonianSpec) -> tuple[BlockGroup, ...]:
 class HamiltonianEvaluator:
     """Caches the static parts of H(t) for fast repeated evaluation.
 
-    Splits H(t) = diag(diagonal) + sum_d f_d(t) K_d: diagonal holds the
-    static energies and Doppler shifts minus i/2 the decay rates (zero on
-    excluded states), and the dense coupling matrices K_d are built on the
-    first call only; the block kernel reads diagonal and drive_factors.
-    Envelopes span the stage of the given duration and are read at stage
-    time t, intensity noise at the global time t_offset + t.
+    H(t) is diag(diagonal) plus f_d(t)/2 both ways on drive d's edges
+    (spec.drive_edges): diagonal holds the static energies and Doppler shifts
+    minus i/2 the decay rates (zero on excluded states).  The block kernel
+    reads diagonal and drive_factors; a call assembles the dense H.  Envelopes
+    span the stage of the given duration and are read at stage time t,
+    intensity noise at the global time t_offset + t.
     """
 
     def __init__(self, spec: HamiltonianSpec, duration: float, noise: NoiseRealization | None = None,
@@ -380,21 +380,19 @@ class HamiltonianEvaluator:
         if noise is not None and noise.doppler_shifts:
             if len(noise.doppler_shifts) != basis.n_atoms:
                 raise ValueError("doppler_shifts length must equal atom count")
-            # One shift per (atom, upper level) even if several sensitive
-            # drives share that level.
-            shifted = {(d.atom, d.upper) for d in spec.drives if d.doppler_sensitive}
-            for atom, upper in shifted:
-                mask = basis.occupation_mask(atom, upper)
-                diag[mask] += noise.doppler_shifts[atom]
+            # one shift per (atom, upper level), even where several sensitive drives share it
+            for atom, upper in {(d.atom, d.upper) for d in spec.drives if d.doppler_sensitive}:
+                diag[basis.occupation_mask(atom, upper)] += noise.doppler_shifts[atom]
         diag -= 0.5j * basis.decay_diagonal()
         diag[spec.blocked_states()] = 0.0
         self.diagonal = diag
-        self._couplings = None
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._couplings is None:
-            self._couplings = self.spec.coupling_matrices()
-        return np.diag(self.diagonal) + np.tensordot(self.drive_factors(np.array([t]))[0], self._couplings, axes=1)
+        drive, src, dst = self.spec.drive_edges()
+        half = 0.5 * self.drive_factors(np.array([t]))[0, drive]
+        h = np.diag(self.diagonal)
+        np.add.at(h, (np.r_[src, dst], np.r_[dst, src]), np.r_[half, half])  # two drives may share an edge
+        return h
 
     def drive_factors(self, times: np.ndarray) -> np.ndarray:
         """Drive amplitudes f_d(t), shape (len(times), n_drives)."""

@@ -16,6 +16,14 @@ from rydswap.gates import _bit_table, process_fidelity
 from rydswap.model import HamiltonianEvaluator, envelope_value
 
 
+def coupling_matrices(spec):
+    """(|upper><lower| + h.c.)/2 per drive, (n_drives, dim, dim) in drive order, on the pairs of drive_edges."""
+    drive, src, dst = spec.drive_edges()
+    mats = np.zeros((len(spec.drives), spec.basis.dim, spec.basis.dim), dtype=complex)
+    mats[drive, src, dst] = mats[drive, dst, src] = 0.5
+    return mats
+
+
 def _single_rate(plan):
     """Gamma if every stage's basis decays at Gamma per Rydberg excitation and nowhere else, else 0."""
     gamma = 0.0
@@ -97,7 +105,7 @@ def propagate_rk(
         timed = list(dict.fromkeys(d.envelope for d in stage.spec.drives if d.envelope.kind != "square"))
         gens = np.zeros((1 + len(timed), n, n), dtype=complex)  # -i H = gens[0] + sum_k f_k(t) gens[1 + k]
         gens[0] = np.diag(-1j * HamiltonianEvaluator(stage.spec, stage.duration).diagonal)
-        for d, k in zip(stage.spec.drives, stage.spec.coupling_matrices()):
+        for d, k in zip(stage.spec.drives, coupling_matrices(stage.spec)):
             if d.envelope.kind == "square":  # constant over the stage
                 gens[0] -= 1j * float(envelope_value(d.envelope, 0.0, stage.duration)) * k
             else:

@@ -1,5 +1,7 @@
 """Every public top-level function and class in the package has a caller.
 
+So has every public method and property of a public class.
+
 A public name that only tests reach must earn its place (the paper's
 effective model, which the acceptance criteria compare with the simulation)
 or go; this module lists the ones kept for that reason.  References the
@@ -55,11 +57,14 @@ def uncalled_public_names() -> set[str]:
     uncalled = set()
     for path, tree in modules.items():
         others = bench.union(*(r for p, r in refs.items() if p != path))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name not in others | _referenced(tree, skip=node):
-                uncalled.add(node.name)
+        public = {n.name: n for n in tree.body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")}
+        # methods and properties of public classes, by "Class.name"
+        public |= {f"{c.name}.{n.name}": n for c in public.values() if isinstance(c, ast.ClassDef)
+                   for n in c.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+        for name, node in public.items():
+            if name.split(".")[-1] not in others | _referenced(tree, skip=node):
+                uncalled.add(name)
     return uncalled
 
 

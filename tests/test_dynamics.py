@@ -36,7 +36,7 @@ from rydswap.model import (
 )
 from rydswap.noise import DopplerSpec, IntensitySpec, NoiseSpec, sample_realization, shot_rng
 
-from oracles import _dense_oracle, _single_rate, propagate_rk
+from oracles import _dense_oracle, _single_rate, coupling_matrices, propagate_rk
 
 TWO_PI = 2 * math.pi
 
@@ -265,7 +265,7 @@ def test_block_kernel_matches_dense_per_step_oracle():
         for k in range(n):
             t = (k + 0.5) * dt
             h = static.copy()
-            for d, kmat in zip(spec.drives, spec.coupling_matrices()):
+            for d, kmat in zip(spec.drives, coupling_matrices(spec)):
                 h += envelope_value(d.envelope, t, stage.duration) * noise.intensity_at(d.family, t_offset + t) * kmat
             psi = expm(-1j * dt * h) @ psi
             pops.append(np.abs(psi) ** 2)

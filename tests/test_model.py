@@ -20,6 +20,8 @@ from rydswap.model import (
     standard_target_frame,
 )
 
+from oracles import coupling_matrices
+
 TWO_PI = 2 * math.pi
 
 
@@ -220,6 +222,11 @@ def test_interaction_graph_symmetry_and_validation():
     assert g.entries[0][:4] == (0, "r", 1, "r")
     with pytest.raises(ValueError):
         InteractionGraph.from_dict({(0, "r", 0, "r"): 1.0})
+    # a pair given twice, in either order, would shift its state twice
+    with pytest.raises(ValueError, match=r"\(1, 'r', 0, 'r', 1.0\)"):
+        InteractionGraph(((0, "r", 1, "r", 1.0), (1, "r", 0, "r", 1.0)))
+    with pytest.raises(ValueError, match="given before"):
+        InteractionGraph.from_dict({(0, "r", 1, "r"): 1.0, (1, "r", 0, "r"): 1.0})
     basis = build_basis([qubit_scheme()] * 2)
     bad = InteractionGraph.from_dict({(0, "1", 1, "r"): 1.0})
     with pytest.raises(ValueError):
@@ -242,7 +249,7 @@ def test_drive_coupling_embedding():
     # a drive on atom 1 couples its two levels whatever atom 0's level is
     basis = build_basis([qubit_scheme()] * 2)
     spec = HamiltonianSpec(basis, (DriveTerm(1, "1", "r", square_pulse(1.0)),))
-    (full,) = spec.coupling_matrices()
+    (full,) = coupling_matrices(spec)
     for a in ("0", "1", "r"):
         assert full[basis.index_of((a, "r")), basis.index_of((a, "1"))] == 0.5
         assert full[basis.index_of((a, "1")), basis.index_of((a, "r"))] == 0.5
@@ -346,6 +353,20 @@ def test_block_structure_shared_across_energies():
     assert moved.plan.stages[1].spec.block_groups() is not target.block_groups()
 
 
+def test_block_structure_shared_across_decay_rates():
+    # the decay rate enters at propagation time: a lifetime scan, and a spec
+    # whose basis differs only in its rate, reuse the cached structure
+    params = table_params("C_SWAP_CCSdag")
+    target = make_protocol("C_SWAP_CCSdag", params).plan.stages[1].spec
+    for lifetime in (None, 1e4, 500.0):
+        scanned = make_protocol("C_SWAP_CCSdag", replace(params, lifetime=lifetime)).plan.stages[1].spec
+        assert scanned.basis != target.basis
+        assert scanned.block_groups() is target.block_groups()
+    spec = _random_spec(np.random.default_rng(3))
+    other = replace(spec, basis=build_basis(spec.basis.schemes, spec.basis.decay_rate + 1.0))
+    assert other.block_groups() is spec.block_groups()
+
+
 def _random_spec(rng):
     """A few atoms with 1-2 Rydberg levels at one decay rate, random drives, interactions and collective pairs.
 
@@ -395,4 +416,7 @@ def test_block_groups_reassemble_the_dense_hamiltonian():
                     factor = np.tensordot(f, k[:, row], axes=1) + np.diag(diag[fi[row]] - diag[fi[row][0]])
                     block = np.kron(block, np.eye(len(factor))) + np.kron(np.eye(len(block)), factor)
                 h[np.ix_(index, index)] += block
-        assert np.max(np.abs(h - np.diag(diag) - np.tensordot(f, spec.coupling_matrices(), axes=1))) < 1e-12
+        assert np.max(np.abs(h - np.diag(diag) - np.tensordot(f, coupling_matrices(spec), axes=1))) < 1e-12
+        # the dense H a call assembles is the same sum, to the bit, where two drives share an edge too
+        fd = evaluator.drive_factors(np.array([0.5]))[0]
+        assert np.array_equal(evaluator(0.5), np.diag(diag) + np.tensordot(fd, coupling_matrices(spec), axes=1))
