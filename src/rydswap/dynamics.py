@@ -27,22 +27,22 @@ the step of largest Lebesgue sum.
 
 A plan runs on one basis, whose Rydberg levels all decay at one rate Gamma.
 A run reports one Rydberg exposure, the time integral of P_r summed over
-its columns.  Since d|psi|^2/dt = -Gamma P_r, the exposure is the norm lost
-over Gamma: the decay budget.  Its error is the steps' own norm drift over
-Gamma, so the budget serves only where Gamma T is large enough against a
-fixed drift per step (see _STEP_DRIFT); elsewhere, and without decay, the
-exposure is the trapezoid of P_r at t = 0 and every step end instead.  The
-path is chosen from the plan, before any step.  On either
-path closed-form groups take F^n by repeated squaring.  A budget run
-computes no P_r: time-dependent groups reduce each chunk's step
+its columns.  Since d|psi|^2/dt = -Gamma P_r on every basis state, the
+exposure is the norm lost over Gamma: the decay budget.  Its error is the
+steps' own norm drift over Gamma, so the budget serves only where Gamma T
+is large enough against a fixed drift per step (see _STEP_DRIFT);
+elsewhere, and without decay, the exposure is the trapezoid of P_r at t = 0
+and every step end instead.  The path is chosen from the plan, before any
+step.  On either path closed-form groups take F^n by repeated squaring.  A
+budget run computes no P_r: time-dependent groups reduce each chunk's step
 exponentials pairwise per distinct factor row and apply the product to the
 block states once per chunk, X <- phase^m A X B^T for two clusters.  A
 trapezoid run takes a closed-form block's P_r, summed over its step ends,
 as the trace of S = sum over k of (F^k)+ W F^k, built by halving n,
 against the Gram matrix of its initial states, and steps the states of the
 other groups through each chunk one step at a time.  Recording populations
-changes no result: a recorded run reads them off the powers F^1..F^n, or
-steps a chunk's states from where its product starts.
+changes no result: a recorded run steps every group's states for its
+populations and takes its final states as an unrecorded run does.
 ``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
 """
 from __future__ import annotations
@@ -333,15 +333,14 @@ def propagate_matrix(
     blocks runs through all of the stage's steps on its own, in step order.
     Closed-form groups take F^n by repeated squaring.  Where _budget_rate
     gives the basis's decay rate Gamma, the exposure is the norm lost over
-    Gamma, since d|psi|^2/dt = -Gamma P_r, plus duration x P_r of the states
-    the collective truncation blocks (they neither move nor decay); no P_r
-    is computed, and time-dependent groups apply each chunk's
-    pairwise-reduced step product to the block states once.  A recorded run
-    takes its final states from the same products and its populations from
-    a step pass.  Otherwise a stage adds dt (P_r(start) / 2 + sum of P_r at
-    its step ends - P_r(end) / 2) to the exposure, its trapezoid of P_r
-    summed over the columns: a closed-form block adds tr(S_b G_b)
-    (_gram_sum) to that sum, and the other groups step their states.
+    Gamma, since d|psi|^2/dt = -Gamma P_r; no P_r is computed, and
+    time-dependent groups apply each chunk's pairwise-reduced step product
+    to the block states once.  A recorded run takes its final states from
+    the same products and its populations from a step pass.  Otherwise a
+    stage adds dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2)
+    to the exposure, its trapezoid of P_r summed over the columns: a
+    closed-form block adds tr(S_b G_b) (_gram_sum) to that sum, and the other
+    groups step their states.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
@@ -371,9 +370,6 @@ def propagate_matrix(
         else:
             axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
-        if not need_pr:
-            blocked = ryd * stage.spec.blocked_states()
-            exposure += stage.duration * (blocked @ np.sum(np.abs(cols) ** 2, axis=1))
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
@@ -392,16 +388,11 @@ def propagate_matrix(
                 if need_pr:  # P_r summed over the step ends is tr(S_b G_b), with G_b the Gram matrix of x_b
                     s = _gram_sum(np.abs(phase)[:, None, None] * f[row_of], ryd_g, n)
                     p_steps += np.sum(psi_g.conj() * (s @ psi_g)).real
-                if record_populations:
-                    chunk = max(1, _CHUNK_ELEMENTS // (len(rows) * d * d))
-                    base = f[None]  # F^1..F^chunk by doubling
-                    while len(base) < min(n, chunk):
-                        base = np.concatenate([base, base[:min(n, chunk) - len(base)] @ base[-1]])
-                    for k0 in range(0, n, chunk):
-                        k1 = min(n, k0 + chunk)
-                        f_k = base[:k1 - k0] @ f_k[-1] if k0 else base[:k1 - k0]
-                        phase_k = np.exp(np.outer(np.arange(k0 + 1, k1 + 1), -1j * dt * diag[ref]))[..., None, None]
-                        stage_pops[k0:k1][:, group.index] = np.abs(phase_k * (f_k[:, row_of] @ psi_g)) ** 2
+                if record_populations:  # step the states; the final ones still come from F^n
+                    u, x = phase[:, None, None] * f[row_of], psi_g
+                    for k in range(n):
+                        x = u @ x
+                        stage_pops[k][group.index] = np.abs(x) ** 2
                 psi_g = phase[:, None, None] ** n * (np.linalg.matrix_power(f, n)[row_of] @ psi_g)
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]

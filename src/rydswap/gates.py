@@ -105,8 +105,8 @@ class GateParams:
     through |v_ct| (close-packed multi-control geometry).  n_controls is
     Ck_SWAP's k (at least 1); every other variant takes only 1.  lifetime
     None means no decay.  v_tt shifts only doubly-excited target pairs,
-    which the collective model projects out, so that model takes only the
-    default.  Every frequency, shift and duration must be finite.
+    which lose every coupling in the collective model, so that model takes
+    only the default.  Every frequency, shift and duration must be finite.
     """
 
     omega1_max: float

@@ -165,17 +165,19 @@ class HamiltonianSpec:
     """Everything needed to evaluate H(t) on a product basis.
 
     collective_pairs restricts the named atom pairs to the single-excitation
-    collective manifold: product states with both pair members in Rydberg
-    levels are projected out, and a logical (non-Rydberg) drive on one member
-    acts only while its partners are in logical levels.  This is the
-    truncation under which the exchange proceeds exclusively through the
-    symmetric single-excitation state; the empty default keeps the complete
-    product space.  Every atom that a drive, frame detuning, interaction
-    entry or collective pair names must lie in [0, n_atoms), a collective
-    pair or interaction entry names two distinct atoms, every drive,
-    frame-detuning and interaction level is one of its atom's, every frame
-    energy and interaction shift is finite, and interactions shift only
-    Rydberg levels (ValueError otherwise, naming the field and the entry).
+    collective manifold by removing couplings only (see drive_edges): product
+    states with both pair members in Rydberg levels lose every coupling and
+    keep their diagonal, energy and decay alike, and a logical (non-Rydberg)
+    drive on one member acts only while its partners are in logical levels.
+    This is the truncation under which the exchange proceeds exclusively
+    through the symmetric single-excitation state; the empty default keeps
+    the complete product space.  Every atom that a drive, frame detuning,
+    interaction entry or collective pair names must lie in [0, n_atoms), a
+    collective pair or interaction entry names two distinct atoms, every
+    drive, frame-detuning and interaction level is one of its atom's, every
+    frame energy and interaction shift is finite, and interactions shift
+    only Rydberg levels (ValueError otherwise, naming the field and the
+    entry).
     """
 
     basis: ProductBasis
@@ -213,14 +215,6 @@ class HamiltonianSpec:
             if rydberg and not scheme.rydberg_flags[scheme.labels.index(label)]:
                 raise ValueError(f"{name} entry {entry!r} shifts the non-Rydberg level {label!r} of atom {atom}")
 
-    def blocked_states(self) -> np.ndarray:
-        """Mask of product states excluded by the collective truncation."""
-        ryd = self.basis.rydberg_masks()
-        blocked = np.zeros(self.basis.dim, dtype=bool)
-        for i, j in self.collective_pairs:
-            blocked |= ryd[i] & ryd[j]
-        return blocked
-
     def static_diagonal(self) -> np.ndarray:
         """Frame detunings + interactions, real rad/us."""
         diag = np.zeros(self.basis.dim)
@@ -232,12 +226,14 @@ class HamiltonianSpec:
     def drive_edges(self) -> np.ndarray:
         """The basis-state pairs the drives couple: rows drive, lower state, upper state.
 
-        Under the collective truncation, logical drives act only while the
-        partner atoms are logical, and no pair touches a projected-out
-        doubly-Rydberg state.
+        This is the whole collective truncation: logical drives act only
+        while the partner atoms are logical, and no pair touches a state with
+        both members of a collective pair in Rydberg levels.
         """
         basis, ryd, levels = self.basis, self.basis.rydberg_masks(), self.basis.level_arrays()
-        blocked = self.blocked_states()
+        blocked = np.zeros(basis.dim, dtype=bool)
+        for i, j in self.collective_pairs:
+            blocked |= ryd[i] & ryd[j]
         edges = [np.zeros((3, 0), dtype=int)]
         for k, d in enumerate(self.drives):
             scheme = basis.schemes[d.atom]
@@ -315,20 +311,23 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _derive_block_groups(spec: HamiltonianSpec) -> tuple[BlockGroup, ...]:
     """H's blocks from the atoms; see HamiltonianSpec.block_groups."""
     basis, (drive, src, dst) = spec.basis, spec.drive_edges()
-    levels = np.array(basis.level_arrays()).T  # (dim, n_atoms)
     block_of = _components(basis.dim, src, dst)
     driven = sorted({d.atom for d in spec.drives})
     links = [(i, j) for i, _, j, _, _ in spec.interactions.entries] + list(spec.collective_pairs)
     links = np.array([link for link in links if set(link) <= set(driven)], dtype=int).reshape(-1, 2)
     cluster_of = _components(basis.n_atoms, links[:, 0], links[:, 1])
     clusters = [[a for a in driven if cluster_of[a] == c] for c in dict.fromkeys(cluster_of[driven])]
+    # each state's level tuple on each cluster, as one code ordered like the tuples
+    codes = [np.ravel_multi_index([basis.level_arrays()[a] for a in atoms], [basis.schemes[a].n_levels for a in atoms])
+             for atoms in clusters]
     shifts = spec.interactions.diagonal(basis)
+    order = np.argsort(block_of, kind="stable")  # the blocks by label, each block's states in order
+    pos = np.full(basis.dim, -1)  # a factor's position of each of its states, -1 elsewhere
 
     groups: dict = {}  # factor sizes -> (blocks, block rows, per factor {key: row}, per factor [(index, couplings)])
-    for b in np.unique(block_of):
-        states = np.flatnonzero(block_of == b)
-        # the clusters whose levels vary along the block, with their level tuples
-        local = [(atoms, *np.unique(levels[states][:, atoms], axis=0, return_inverse=True)) for atoms in clusters]
+    for states in np.split(order, np.flatnonzero(np.diff(block_of[order])) + 1):
+        # the clusters whose levels vary along the block, with their level codes
+        local = [(atoms, *np.unique(c[states], return_inverse=True)) for atoms, c in zip(clusters, codes)]
         local = [x for x in local if len(x[1]) > 1] if len(states) > 1 else []
         sizes = tuple(len(u) for _, u, _ in local)
         index = states[np.lexsort([inv.ravel() for _, _, inv in reversed(local)])] if local else states
@@ -337,11 +336,11 @@ def _derive_block_groups(spec: HamiltonianSpec) -> tuple[BlockGroup, ...]:
         rows = []
         for slot, (atoms, u, _) in enumerate(local):
             fidx = np.moveaxis(index.reshape(sizes), slot, 0).reshape(sizes[slot], -1)[:, 0]
-            pos = np.full(basis.dim, -1)
             pos[fidx] = np.arange(len(fidx))
             inside = (pos[src] >= 0) & (pos[dst] >= 0)
             k = np.zeros((len(spec.drives), len(fidx), len(fidx)))
             k[drive[inside], pos[src[inside]], pos[dst[inside]]] = 0.5
+            pos[fidx] = -1
             k += np.swapaxes(k, 1, 2)
             # labelling atoms that shift the cluster alike share its row
             key = (tuple(atoms), u.tobytes(), k.tobytes(), (shifts[fidx] - shifts[fidx[0]]).tobytes())
@@ -363,7 +362,7 @@ class HamiltonianEvaluator:
 
     H(t) is diag(diagonal) plus f_d(t)/2 both ways on drive d's edges
     (spec.drive_edges): diagonal holds the static energies and Doppler shifts
-    minus i/2 the decay rates (zero on excluded states).  The block kernel
+    minus i/2 the decay rates, on every basis state.  The block kernel
     reads diagonal and drive_factors; a call assembles the dense H.  Envelopes
     span the stage of the given duration and are read at stage time t,
     intensity noise at the global time t_offset + t.
@@ -384,7 +383,6 @@ class HamiltonianEvaluator:
             for atom, upper in {(d.atom, d.upper) for d in spec.drives if d.doppler_sensitive}:
                 diag[basis.occupation_mask(atom, upper)] += noise.doppler_shifts[atom]
         diag -= 0.5j * basis.decay_diagonal()
-        diag[spec.blocked_states()] = 0.0
         self.diagonal = diag
 
     def __call__(self, t: float) -> np.ndarray:

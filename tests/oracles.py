@@ -42,8 +42,7 @@ def _dense_oracle(plan, cols, noise=None):
     the exposure and the populations (n_samples, dim, n_cols) at those
     times.  The exposure is the integral of P_r summed over the columns:
     on plans with one decay rate Gamma on every Rydberg level, the norm the
-    oracle loses over Gamma plus duration x P_r of the states each stage's
-    collective truncation blocks (the kernel's decay budget, for plans whose
+    oracle loses over Gamma (the kernel's decay budget, for plans whose
     Gamma T passes its cut, as every such plan here does by far); otherwise
     the trapezoid of P_r.  In a stage whose drives vary the kernel splits
     the decay off symmetrically around each unitary step; the oracle splits
@@ -53,7 +52,6 @@ def _dense_oracle(plan, cols, noise=None):
     psi, t_offset = cols.astype(complex), 0.0
     times, pops = [0.0], [np.abs(psi) ** 2]
     ryd = plan.stages[0].spec.basis.rydberg_projector_diagonal()
-    blocked = 0.0
     for stage in plan.stages:
         n = _stage_steps(stage, plan.policy)
         dt = stage.duration / n
@@ -61,7 +59,6 @@ def _dense_oracle(plan, cols, noise=None):
         mids = (np.arange(n) + 0.5) * dt
         factors = evaluator.drive_factors(mids)
         varying = np.any(factors != factors[0])
-        blocked += stage.duration * (ryd * stage.spec.blocked_states()) @ np.sum(np.abs(psi) ** 2, axis=1)
         for t in mids:
             times.append(t_offset + t + 0.5 * dt)
             h = evaluator(t)
@@ -76,7 +73,7 @@ def _dense_oracle(plan, cols, noise=None):
     pops, times = np.array(pops), np.array(times)
     gamma = _single_rate(plan)
     if gamma:
-        exposure = blocked + np.sum(np.abs(cols) ** 2 - np.abs(psi) ** 2) / gamma
+        exposure = np.sum(np.abs(cols) ** 2 - np.abs(psi) ** 2) / gamma
     else:
         exposure = np.trapezoid(np.einsum("sdc,d->s", pops, ryd), times)
     return psi, times, float(exposure), pops

@@ -137,3 +137,32 @@ def test_every_benchmark_binding_resolves():
         if obj is None:
             missing.append(binding)
     assert missing == []
+
+
+def test_a_gate_run_reaches_every_pinned_kernel_binding(monkeypatch):
+    # the benchmark fails a workload whose run records no call of a pinned
+    # binding; a kernel that stops calling one shows here, not after a run
+    from dataclasses import replace
+
+    from rydswap.dynamics import StepPolicy
+    from rydswap.gates import make_protocol, run_gate, table_params
+
+    calls = {}
+    for binding in sorted(b for b in _required_bindings() if b.split(":")[0] in ("rydswap.dynamics", "rydswap.model")):
+        module, attrs = binding.split(":")
+        *path, name = attrs.split(".")
+        owner = importlib.import_module(module)
+        for attr in path:
+            owner = getattr(owner, attr)
+        calls[binding] = 0
+
+        def counted(*args, _binding=binding, _wrapped=getattr(owner, name), **kwargs):
+            calls[_binding] += 1
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert {"rydswap.dynamics:expm", "rydswap.dynamics:np.linalg.eigh",
+            "rydswap.model:HamiltonianEvaluator.__call__", "rydswap.model:envelope_value"} <= set(calls)
+    proto = make_protocol("C_SWAP_CCSdag", table_params("C_SWAP_CCSdag"))
+    run_gate(replace(proto, plan=replace(proto.plan, policy=StepPolicy(gaussian_resolution=25, square_resolution=20))))
+    assert all(calls.values()), calls

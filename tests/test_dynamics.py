@@ -220,6 +220,17 @@ def test_norm_budget_every_input(name):
     assert np.sum(res.norm_loss) / params.decay_rate == pytest.approx(np.trapezoid(p_r, res.times), rel=1e-7)
 
 
+def test_uncoupled_doubly_rydberg_state_obeys_the_decay_budget():
+    # the collective truncation leaves |rr> without couplings, not without
+    # decay: it loses 1 - exp(-2 Gamma T), and the exposure is that loss over Gamma
+    params = table_params("SWAP")
+    plan = two_target_plan(params)
+    res = propagate(plan, plan.basis.basis_state(("r", "r")))
+    gamma, t = params.decay_rate, plan.total_duration
+    assert res.norm_loss == pytest.approx(-math.expm1(-2.0 * gamma * t), rel=1e-9)
+    assert res.time_integrated_rydberg == pytest.approx(res.norm_loss / gamma, rel=1e-9)
+
+
 def _blocked_plan():
     """Two stages on a block-diagonal H with decay.
 

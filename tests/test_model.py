@@ -95,7 +95,7 @@ def _reference_collective_matrix(basis, om1, om2, delta, v):
     Written out term by term from the rotating-frame model: logical drive
     between fully logical states, optical drive everywhere below double
     excitation, energies 0/Delta per target |1> plus v per target Rydberg
-    level, doubly-Rydberg row and column empty.
+    level, the doubly-Rydberg state uncoupled but keeping its energy.
     """
     idx = {"".join(l): basis.index_of(l) for l in
            [(a, b) for a in "01r" for b in "01r"]}
@@ -107,7 +107,7 @@ def _reference_collective_matrix(basis, om1, om2, delta, v):
         h[idx[bra], idx[ket]] = om2 / 2
         h[idx[ket], idx[bra]] = om2 / 2
     energies = {"00": 0.0, "01": delta, "10": delta, "11": 2 * delta,
-                "0r": v, "r0": v, "1r": delta + v, "r1": delta + v, "rr": 0.0}
+                "0r": v, "r0": v, "1r": delta + v, "r1": delta + v, "rr": 2 * v}
     for key, e in energies.items():
         h[idx[key], idx[key]] += e
     return h, idx
@@ -128,9 +128,9 @@ def test_collective_hamiltonian_matches_hand_built_matrix(seed):
     h = HamiltonianEvaluator(spec, 1.0)(0.5)
     ref, idx = _reference_collective_matrix(basis, om1, om2, delta, v)
     assert np.max(np.abs(h - ref)) < 1e-9 * max(om2, delta)
-    irr = idx["rr"]
-    assert np.max(np.abs(h[irr, :])) == 0.0
-    assert np.max(np.abs(h[:, irr])) == 0.0
+    irr, others = idx["rr"], np.arange(9) != idx["rr"]
+    assert np.max(np.abs(h[irr, others])) == 0.0
+    assert np.max(np.abs(h[others, irr])) == 0.0
     # symmetric/antisymmetric structure: |11> couples only to (|1r>+|r1>)/sqrt2
     sym = np.zeros(9, dtype=complex)
     sym[idx["1r"]] = sym[idx["r1"]] = 1 / math.sqrt(2)
