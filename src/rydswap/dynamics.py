@@ -39,11 +39,20 @@ exponentials pairwise per distinct factor row and apply the product to the
 block states once per chunk, X <- phase^m A X B^T for two clusters.  A
 trapezoid run takes a closed-form block's P_r, summed over its step ends,
 as the trace of S = sum over k of (F^k)+ W F^k, built by halving n,
-against the Gram matrix of its initial states, and steps the states of the
-other groups through each chunk one step at a time.  Recording populations
-changes no result: a recorded run steps every group's states for its
-populations and takes its final states as an unrecorded run does.
-``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
+against the Gram matrix of its initial states.  Without decay a step's
+trapezoid of P_r is exactly -dN/dGamma at Gamma = 0 for a virtual decay on
+the Rydberg weights, and that derivative composes through a product of
+steps as the off-diagonal block of a block-triangular exponential does
+(Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  So a decay-free
+time-dependent group takes the chunk product with its derivative wherever
+its three products per distinct row cost no more than stepping the block
+states.  The other time-dependent groups of a trapezoid run step their
+states through each chunk one step at a time; that includes every group of
+a run whose decay falls below the budget's cut, where -dN/dGamma is off by
+O(Gamma T).  Recording populations changes no result: a recorded run steps
+every group's states for its populations and takes its final states and
+exposure as an unrecorded run does.  ``propagate_matrix`` is that kernel,
+``propagate`` its one-column view.
 """
 from __future__ import annotations
 
@@ -59,7 +68,8 @@ from .basis import ProductBasis
 from .model import BlockGroup, HamiltonianEvaluator, HamiltonianSpec, NoiseRealization
 
 # Step propagators and states are built in chunks of steps of about this many
-# complex elements each, which bounds the kernel's memory at any step count.
+# complex elements each, which bounds the kernel's memory at any step count; a
+# chunk that carries its derivative holds two such arrays.
 _CHUNK_ELEMENTS = 32768
 
 # Time-dependent stages exponentiate at interpolation nodes of their drive
@@ -161,10 +171,11 @@ class PropagationResult:
     over the basis's decay rate Gamma where Gamma T is large enough that the
     steps' own norm drift over Gamma stays within 1e-9 T |psi0|^2 (see
     _STEP_DRIFT), and otherwise the trapezoid of P_r sampled at t = 0 and at
-    the end of every integrator step.  When
-    populations are recorded, population_traj holds |psi|^2 per basis state
-    at those samples and times their times; otherwise both are None.
-    Recording changes none of the other fields.
+    the end of every integrator step; without decay, time-dependent groups
+    that take the chunk product read that trapezoid off its derivative in a
+    virtual decay rate.  When populations are recorded, population_traj holds
+    |psi|^2 per basis state at those samples and times their times; otherwise
+    both are None.  Recording changes none of the other fields.
     """
 
     final_state: np.ndarray
@@ -294,12 +305,20 @@ def _budget_rate(plan: StagePlan) -> float:
     return gamma if gamma * plan.total_duration * _BUDGET_TOL >= n * _STEP_DRIFT else 0.0
 
 
-def _chunk_product(b: np.ndarray) -> np.ndarray:
-    """b[-1] @ ... @ b[0] over the first axis (a chunk's steps, in order), in log2(len(b)) batched products."""
+def _chunk_product(b: np.ndarray, db: np.ndarray | None = None):
+    """b[-1] @ ... @ b[0] over the first axis (a chunk's steps, in order), in log2(len(b)) batched products.
+
+    Given db, the steps' derivatives in a parameter, it returns the product
+    and its derivative: (P2, D2) after (P1, D1) is (P2 P1, D2 P1 + P2 D1).
+    """
     while len(b) > 1:
-        pairs = b[1::2] @ b[:len(b) - 1:2]
+        lo, hi = b[:len(b) - 1:2], b[1::2]
+        if db is not None:
+            pairs = db[1::2] @ lo + hi @ db[:len(b) - 1:2]
+            db = np.concatenate([pairs, db[-1:]]) if len(b) % 2 else pairs
+        pairs = hi @ lo
         b = np.concatenate([pairs, b[-1:]]) if len(b) % 2 else pairs
-    return b[0]
+    return b[0] if db is None else (b[0], db[0])
 
 
 def _gram_sum(f: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -335,12 +354,19 @@ def propagate_matrix(
     gives the basis's decay rate Gamma, the exposure is the norm lost over
     Gamma, since d|psi|^2/dt = -Gamma P_r; no P_r is computed, and
     time-dependent groups apply each chunk's pairwise-reduced step product
-    to the block states once.  A recorded run takes its final states from
-    the same products and its populations from a step pass.  Otherwise a
-    stage adds dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2)
-    to the exposure, its trapezoid of P_r summed over the columns: a
-    closed-form block adds tr(S_b G_b) (_gram_sum) to that sum, and the other
-    groups step their states.
+    to the block states once.  Otherwise a stage adds
+    dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2) to the
+    exposure, its trapezoid of P_r summed over the columns: a closed-form
+    block adds tr(S_b G_b) (_gram_sum) to that sum.  Without decay a
+    time-dependent group whose chunk product costs no more multiply-adds per
+    step than the step pass, 3 sum_k n_rows_k d_k^3 against
+    n_blocks d n_cols sum_k d_k, also applies each chunk's product, and reads
+    its trapezoid off the product's derivative D in a virtual decay rate:
+    per chunk and factor, -2 Re x+ (P+ D on the factor's axis) x, plus the
+    reference states' own P_r times the chunk's time.  The other groups step
+    their states.  The choice needs only the plan and the column count, so a
+    recorded run takes its final states and exposure from the same products
+    and only its populations from a step pass.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
@@ -396,16 +422,28 @@ def propagate_matrix(
                 psi_g = phase[:, None, None] ** n * (np.linalg.matrix_power(f, n)[row_of] @ psi_g)
             else:
                 energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+                dims = [len(i[0]) for i in group.factor_index]
+                # without decay the trapezoid of P_r is -dN/dGamma for a virtual rate Gamma, which the chunk
+                # product carries where its three products per distinct row cost no more than the step pass
+                deriv = need_pr and not plan.basis.decay_rate and (
+                    3 * sum(len(i) * dk ** 3 for i, dk in zip(group.factor_index, dims))
+                    <= n_blocks * d * n_cols * sum(dims))
+                stepped = need_pr and not deriv  # the step pass gives the final states and P_r
                 nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
                 gap = 0.0
                 if weights is not None:
                     node_exps = _factor_exponentials(group, energies, nodes, dt)
                     gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
-                _log.debug("stage %d, blocks %dx%d: %d steps, nodes per axis %s, checked gap %.2e",
-                           i_stage, n_blocks, d, n, counts if weights is not None else "(the steps)", gap)
+                _log.debug("stage %d, blocks %dx%d: %d steps by %s, nodes per axis %s, checked gap %.2e",
+                           i_stage, n_blocks, d, n,
+                           "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product",
+                           counts if weights is not None else "(the steps)", gap)
                 if gap > _CHECK_TOL:
                     raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
-                dims = [len(i[0]) for i in group.factor_index]
+                if deriv:  # a step's derivative over dt is -(w B + B w) / 4, w a factor row's Rydberg weights
+                    slopes = [-0.25 * (w[:, :, None] + w[:, None, :])
+                              for w in (ryd[i] - ryd[i[:, :1]] for i in group.factor_index)]
+                    p_g0, trap = np.sum(ryd_g[..., None] * np.abs(psi_g) ** 2), 0.0  # trap in units of dt
                 # factor k acts on axis k of the block states; the factors commute, so the
                 # first goes last and writes the trajectory
                 # a chunk holds a product per distinct row, and a step pass goes through it in steps of
@@ -419,7 +457,7 @@ def propagate_matrix(
                     exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
                             [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
                     x_end = psi_g
-                    if need_pr or record_populations:
+                    if stepped or record_populations:
                         for s0 in range(k0, k1, step_chunk):
                             s1 = min(k1, s0 + step_chunk)
                             us = [b[s0 - k0:s1 - k0][:, group.rows[:, slot]] for slot, b in enumerate(exps)]
@@ -432,18 +470,32 @@ def propagate_matrix(
                                     x = np.matmul(u[j], x.reshape(shape)).reshape(psi_g.shape)
                                 x_end = np.matmul(us[0][j], x, out=traj[j])
                             # P_r weights the squared real and imaginary parts, then adds them
-                            sq = traj.reshape(s1 - s0, -1, n_cols).view(float) ** 2
-                            if need_pr:
+                            sq = traj.reshape(s1 - s0, n_blocks * d, n_cols).view(float) ** 2
+                            if stepped:
                                 p_steps += np.sum(ryd_g.ravel() @ sq)
                             if record_populations:
                                 stage_pops[s0:s1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
                                     s1 - s0, n_blocks, d, n_cols)
-                    if need_pr:
+                    if stepped:
                         psi_g = x_end
-                    else:  # one step by the chunk's product, factor by factor
-                        u = [_chunk_product(b)[group.rows[:, slot]] for slot, b in enumerate(exps)]
-                        u[0] *= phase[:, None, None] ** (k1 - k0)
-                        psi_g = _apply_factors(u, psi_g, shapes)
+                        continue
+                    # one step by the chunk's product, factor by factor; with its derivative, the chunk's
+                    # -dN/dGamma is the reference states' decay plus -2 Re x+ (P+ D on each factor's axis) x
+                    if deriv:
+                        prods = [_chunk_product(b, slope * b) for b, slope in zip(exps, slopes)]
+                        trap += (k1 - k0) * np.sum(ryd[ref] * np.sum(np.abs(psi_g) ** 2, axis=(1, 2)))
+                        for slot, (p, dp) in enumerate(prods):
+                            e = (np.swapaxes(p.conj(), -1, -2) @ dp)[group.rows[:, slot]]
+                            x = psi_g.reshape(shapes[slot])
+                            trap -= 2.0 * np.sum(x.conj() * (e[:, None] @ x)).real
+                    else:
+                        prods = [(_chunk_product(b), None) for b in exps]
+                    u = [p[group.rows[:, slot]] for slot, (p, _) in enumerate(prods)]
+                    u[0] *= phase[:, None, None] ** (k1 - k0)
+                    psi_g = _apply_factors(u, psi_g, shapes)
+                if deriv:  # the trapezoid is dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2)
+                    p_g = np.sum(ryd_g[..., None] * np.abs(psi_g.reshape(n_blocks, d, n_cols)) ** 2)
+                    p_steps += trap + 0.5 * (p_g - p_g0)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
             cols[group.index] = psi_g.reshape(n_blocks, d, n_cols)

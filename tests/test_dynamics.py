@@ -1,5 +1,9 @@
+import importlib.util
+import logging
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,24 +337,29 @@ def _assert_matches_oracle(res, plan, cols, noise, state_tol):
 
 def _oracle_case(name):
     p = table_params("C_SWAP_CCSdag")
-    if name == "MUX_SWAP_4T":
+    gate = name.removesuffix(" lifetime None")
+    lifetime = None if gate != name else 400.0
+    if gate == "MUX_SWAP_4T":
         params = GateParams(omega1_max=TWO_PI * 20.0, omega2=TWO_PI * 55.0, delta=TWO_PI * 400.0,
-                            duration=5.1, v_ct=TWO_PI * 3000.0)
-        return make_protocol(name, params), StepPolicy(gaussian_resolution=4, square_resolution=1), None
-    if name == "Ck_SWAP":
-        params = replace(p, n_controls=2, v_ct=3.0 * p.omega2)
-        return make_protocol(name, params), StepPolicy(gaussian_resolution=20, square_resolution=5), None
+                            duration=5.1, v_ct=TWO_PI * 3000.0, lifetime=lifetime)
+        return make_protocol(gate, params), StepPolicy(gaussian_resolution=4, square_resolution=1), None
+    if gate == "Ck_SWAP":
+        params = replace(p, n_controls=2, v_ct=3.0 * p.omega2, lifetime=lifetime)
+        return make_protocol(gate, params), StepPolicy(gaussian_resolution=20, square_resolution=5), None
     proto = make_protocol("C_SWAP_CCSdag", p)
     spec = NoiseSpec(doppler=DopplerSpec(temperature_K=150e-6),
                      intensity=IntensitySpec({"omega1": 0.02, "omega2": 0.02}), n_shots=1, seed=0)
     return proto, StepPolicy(), sample_realization(spec, proto.basis.n_atoms, proto.total_duration, shot_rng(0, 0))
 
 
-@pytest.mark.parametrize("name", ["MUX_SWAP_4T", "Ck_SWAP", "noisy C_SWAP_CCSdag"])
+@pytest.mark.parametrize("name", ["MUX_SWAP_4T", "Ck_SWAP", "noisy C_SWAP_CCSdag",
+                                  "MUX_SWAP_4T lifetime None", "Ck_SWAP lifetime None"])
 def test_merged_and_factored_kernel_matches_dense_oracle(name):
     # MUX_SWAP_4T's target blocks are Kronecker products of two pair
     # factors, Ck_SWAP merges 9 target blocks into 3 distinct ones, and the
-    # noisy shot adds Doppler shifts and intensity tracks; all with decay
+    # noisy shot adds Doppler shifts and intensity tracks; with decay, and
+    # without it, where both target stages take the chunk product with its
+    # virtual-decay derivative
     proto, policy, noise = _oracle_case(name)
     plan = StagePlan(proto.plan.stages, policy)
     cols = np.eye(proto.basis.dim)[:, list(proto.basis.comp_indices)]
@@ -389,34 +398,83 @@ def test_constant_stage_closed_form_matches_dense_oracle(record):
 
 @pytest.mark.parametrize("small_chunks", [False, True])
 @pytest.mark.parametrize("per_step", [False, True])
-def test_two_cluster_budget_run_matches_dense_oracle(per_step, small_chunks, monkeypatch):
+@pytest.mark.parametrize("rate", [1.0 / 400.0, 0.0], ids=["budget", "decay-free"])
+def test_two_cluster_budget_run_matches_dense_oracle(rate, per_step, small_chunks, monkeypatch, caplog):
     # one decay rate on every Rydberg level: the two uncoupled atoms' factors
     # are reduced over each chunk on their own, at interpolation nodes or at
     # every step, and the step pass that records populations ends on the
     # reduced product's states; with small chunks there are several, and the
-    # step pass goes through each in shorter pieces
+    # step pass goes through each in shorter pieces.  Without decay the
+    # products carry their derivative in a virtual rate, whose trapezoid of
+    # P_r the oracle sums from its populations; that takes all 9 columns,
+    # since with 3 the two-factor group costs less stepped
     if per_step:
         monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: math.inf)
     if small_chunks:
         monkeypatch.setattr(dynamics, "_CHUNK_ELEMENTS", 300)
-    basis = build_basis([qubit_scheme()] * 2, 1.0 / 400.0)
+    basis = build_basis([qubit_scheme()] * 2, rate)
     drives = (DriveTerm(0, "1", "r", gaussian_pulse(TWO_PI * 9.0)),
               DriveTerm(1, "0", "1", square_pulse(TWO_PI * 4.0)),
               DriveTerm(1, "1", "r", gaussian_pulse(TWO_PI * 6.0)))
     frame = ((0, "1", TWO_PI * 3.0), (1, "r", TWO_PI * 2.0))
     plan = StagePlan((Stage(0.7, HamiltonianSpec(basis, drives, frame_detunings=frame)),),
                      StepPolicy(gaussian_resolution=25))
-    assert dynamics._budget_rate(plan) == 1.0 / 400.0
+    assert dynamics._budget_rate(plan) == rate
     assert [len(g.factor_index) for g in plan.stages[0].spec.block_groups()] == [1, 2]
     rng = np.random.default_rng(9)
-    cols = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
-    cols /= np.linalg.norm(cols, axis=0)
-    res = propagate_matrix(plan, cols, record_populations=True)
+    if rate:
+        cols = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+        cols /= np.linalg.norm(cols, axis=0)
+    else:
+        cols = np.eye(basis.dim)
+    with caplog.at_level(logging.DEBUG, logger="rydswap"):
+        res = propagate_matrix(plan, cols, record_populations=True)
+    assert set(re.findall(r"steps by ([a-z ]+),", caplog.text)) == {
+        "chunk product with derivative" if not rate else "chunk product"}
     _assert_matches_oracle(res, plan, cols, None, 1e-9)
     assert np.max(np.abs(res.population_traj[-1] - np.abs(res.final_state) ** 2)) < 1e-12
     bare = propagate_matrix(plan, cols)
     assert np.array_equal(bare.final_state, res.final_state)
     assert bare.time_integrated_rydberg == res.time_integrated_rydberg
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name", ["MUX_SWAP_4T", "MUX_SWAP_4T lifetime None"])
+def test_zero_column_batch_gives_the_empty_result(name, record):
+    proto, policy, _ = _oracle_case(name)
+    plan = StagePlan(proto.plan.stages, policy)
+    res = propagate_matrix(plan, np.zeros((proto.basis.dim, 0)), record_populations=record)
+    assert res.final_state.shape == (proto.basis.dim, 0) and res.norm_loss.shape == (0,)
+    assert res.time_integrated_rydberg == 0.0
+    if record:
+        assert res.population_traj.shape == (len(res.times), proto.basis.dim, 0)
+    else:
+        assert res.population_traj is None
+
+
+def _routing_protocols():
+    """The routing gates at the benchmark's routing_large points, by variant."""
+    spec = importlib.util.spec_from_file_location(
+        "routing_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {v: workloads.with_resolution(make_protocol(v, workloads.routing_params(v)), res)
+            for v, res, _ in workloads.ROUTING}
+
+
+def test_routing_target_groups_take_the_cheaper_decay_free_path(caplog):
+    # without decay a time-dependent group takes the chunk product with its
+    # derivative where three products per distinct row cost no more than the
+    # step pass: MUX_SWAP_4T's 8 x 8 pair factors and Ck_SWAP's 3 distinct
+    # 8-state rows do, MUX_SWAP_3T's 20-state rows do not
+    expected = {"MUX_SWAP_3T": "step pass", "MUX_SWAP_4T": "chunk product with derivative",
+                "Ck_SWAP": "chunk product with derivative"}
+    for variant, proto in _routing_protocols().items():
+        assert proto.basis.decay_rate == 0.0
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rydswap"):
+            run_gate(proto)
+        assert set(re.findall(r"steps by ([a-z ]+),", caplog.text)) == {expected[variant]}, variant
 
 
 @pytest.mark.parametrize("name", ["SWAP", "C_SWAP_CCSdag"])

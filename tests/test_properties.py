@@ -7,7 +7,8 @@ every Rydberg level), optional Doppler shifts and intensity tracks, and 1-2
 stages at small resolutions, so that every branch of the kernel runs:
 closed-form constant stages and 1-state blocks, node-interpolated and
 per-step time-dependent groups, two-cluster blocks, recorded and unrecorded
-runs, on the decay-budget and the P_r path.  Examples are derandomized, so
+runs, on the decay-budget and the P_r path, and over identity batches the
+decay-free chunk product with its derivative.  Examples are derandomized, so
 the suite is deterministic.
 """
 
@@ -122,6 +123,20 @@ def test_propagation_is_linear_in_the_columns(case, a, b):
     assert np.max(np.abs(out[:, 2] - (a * out[:, 0] + b * out[:, 1]))) < 1e-12
     for j in range(2):  # a column propagates the same alone as in a batch
         assert np.max(np.abs(propagate_matrix(plan, cols[:, j:j + 1], noise).final_state[:, 0] - out[:, j])) < 1e-12
+
+
+@settings(PROPERTY, max_examples=100)
+@given(cases(decay=False))
+def test_decay_free_identity_batch_matches_dense_oracle(case):
+    # over every basis column, time-dependent groups of several blocks or
+    # clusters take the chunk product and read the trapezoid of P_r off its
+    # virtual-decay derivative
+    plan, noise, _ = case
+    cols = np.eye(plan.basis.dim)
+    res = propagate_matrix(plan, cols, noise)
+    psi, _, exposure, _ = _dense_oracle(plan, cols, noise)
+    assert np.max(np.abs(res.final_state - psi)) < 1e-12
+    assert abs(res.time_integrated_rydberg - exposure) <= 1e-12 * abs(exposure)
 
 
 @PROPERTY
