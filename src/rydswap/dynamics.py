@@ -9,10 +9,11 @@ Hamiltonian is block-diagonal, with blocks derived from the atoms (see
 HamiltonianSpec.block_groups), and one kernel propagates each group of
 equal-shape blocks on its own.  A block's step propagator is a phase times
 the Kronecker product of its factor rows' exponentials, and the kernel works
-on the distinct rows, never on assembled blocks.  The drive amplitudes are
-read at every step midpoint.  Where they are the same at every step, and
-for 1-state blocks, each distinct row is exponentiated once with ``expm``
-and stepped in closed form, with no step loop.  In any other stage a step's
+on the distinct rows, never on assembled blocks.  States that no drive
+couples (1-state blocks) take only their phase, in closed form.  The drive
+amplitudes are read at every step midpoint.  Where they are the same at
+every step, each distinct factor row is exponentiated once with ``expm``,
+and that exponential is every step's.  In any other stage a step's
 cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
 an intensity factor per noisy family), the coordinates of its drive row in
 the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
@@ -33,26 +34,24 @@ steps' own norm drift over Gamma, so the budget serves only where Gamma T
 is large enough against a fixed drift per step (see _STEP_DRIFT);
 elsewhere, and without decay, the exposure is the trapezoid of P_r at t = 0
 and every step end instead.  The path is chosen from the plan, before any
-step.  On either path closed-form groups take F^n by repeated squaring.  A
-budget run computes no P_r: time-dependent groups reduce each chunk's step
-exponentials pairwise per distinct factor row and apply the product to the
-block states once per chunk, X <- phase^m A X B^T for two clusters.  A
-trapezoid run takes a closed-form block's P_r, summed over its step ends,
-as the trace of S = sum over k of (F^k)+ W F^k, built by halving n,
-against the Gram matrix of its initial states.  Without decay a step's
-trapezoid of P_r is exactly -dN/dGamma at Gamma = 0 for a virtual decay on
-the Rydberg weights, and that derivative composes through a product of
-steps as the off-diagonal block of a block-triangular exponential does
-(Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  So a decay-free
-time-dependent group takes the chunk product with its derivative wherever
+step.  Every group with factors, constant or not, runs one chunk loop.  A
+budget run computes no P_r: it reduces each chunk's step exponentials
+pairwise per distinct factor row and applies the product to the block
+states once per chunk, X <- phase^m A X B^T for two clusters.  Without
+decay a step's trapezoid of P_r is exactly -dN/dGamma at Gamma = 0 for a
+virtual decay on the Rydberg weights, and that derivative composes through
+a product of steps as the off-diagonal block of a block-triangular
+exponential does (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
+So a decay-free group takes the chunk product with its derivative wherever
 its three products per distinct row cost no more than stepping the block
-states.  The other time-dependent groups of a trapezoid run step their
-states through each chunk one step at a time; that includes every group of
-a run whose decay falls below the budget's cut, where -dN/dGamma is off by
-O(Gamma T).  Recording populations changes no result: a recorded run steps
-every group's states for its populations and takes its final states and
-exposure as an unrecorded run does.  ``propagate_matrix`` is that kernel,
-``propagate`` its one-column view.
+states.  The other groups of a trapezoid run step their states through
+each chunk one step at a time; that includes every group of a run whose
+decay falls below the budget's cut, where -dN/dGamma is off by O(Gamma T).
+An uncoupled state's P_r at the step ends is a geometric series in
+|phase|^2, summed in closed form.  Recording populations changes no
+result: a recorded run steps every group with factors for its populations
+and takes its final states and exposure as an unrecorded run does.
+``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
 """
 from __future__ import annotations
 
@@ -171,11 +170,11 @@ class PropagationResult:
     over the basis's decay rate Gamma where Gamma T is large enough that the
     steps' own norm drift over Gamma stays within 1e-9 T |psi0|^2 (see
     _STEP_DRIFT), and otherwise the trapezoid of P_r sampled at t = 0 and at
-    the end of every integrator step; without decay, time-dependent groups
-    that take the chunk product read that trapezoid off its derivative in a
-    virtual decay rate.  When populations are recorded, population_traj holds
-    |psi|^2 per basis state at those samples and times their times; otherwise
-    both are None.  Recording changes none of the other fields.
+    the end of every integrator step; without decay, groups that take the
+    chunk product read that trapezoid off its derivative in a virtual decay
+    rate.  When populations are recorded, population_traj holds |psi|^2 per
+    basis state at those samples and times their times; otherwise both are
+    None.  Recording changes none of the other fields.
     """
 
     final_state: np.ndarray
@@ -321,18 +320,6 @@ def _chunk_product(b: np.ndarray, db: np.ndarray | None = None):
     return b[0] if db is None else (b[0], db[0])
 
 
-def _gram_sum(f: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """The sum over k = 1..n of (f^k)+ diag(w) f^k, batched over the first axis, by halving n: 3-5 log2(n) products."""
-    s, p = np.swapaxes(f.conj(), -1, -2) @ (w[..., None] * f), f
-    for bit in bin(n)[3:]:  # s, p = S(m), f^m for m the leading bits of n: S(2m) = S(m) + (f^m)+ S(m) f^m
-        s = s + np.swapaxes(p.conj(), -1, -2) @ s @ p
-        p = p @ p
-        if bit == "1":
-            p = p @ f
-            s = s + np.swapaxes(p.conj(), -1, -2) @ (w[..., None] * p)
-    return s
-
-
 def _apply_factors(u: list[np.ndarray], x: np.ndarray, shapes: list[tuple]) -> np.ndarray:
     """The block states x (n_blocks, d_0, rest) times the Kronecker product of the per-block factors u, factor k on axis k."""
     for slot in range(1, len(u)):
@@ -350,18 +337,20 @@ def propagate_matrix(
 
     The blocks of a stage do not interact, so each group of equal-size
     blocks runs through all of the stage's steps on its own, in step order.
-    Closed-form groups take F^n by repeated squaring.  Where _budget_rate
-    gives the basis's decay rate Gamma, the exposure is the norm lost over
-    Gamma, since d|psi|^2/dt = -Gamma P_r; no P_r is computed, and
-    time-dependent groups apply each chunk's pairwise-reduced step product
-    to the block states once.  Otherwise a stage adds
+    Uncoupled states (1-state blocks) take phase^n in closed form; every
+    other group runs one chunk loop, which in a constant stage takes the
+    same exponentials at every step.  Where _budget_rate gives the basis's
+    decay rate Gamma, the exposure is the norm lost over Gamma, since
+    d|psi|^2/dt = -Gamma P_r; no P_r is computed, and each chunk's
+    pairwise-reduced step product is applied to the block states once.
+    Otherwise a stage adds
     dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2) to the
-    exposure, its trapezoid of P_r summed over the columns: a closed-form
-    block adds tr(S_b G_b) (_gram_sum) to that sum.  Without decay a
-    time-dependent group whose chunk product costs no more multiply-adds per
-    step than the step pass, 3 sum_k n_rows_k d_k^3 against
-    n_blocks d n_cols sum_k d_k, also applies each chunk's product, and reads
-    its trapezoid off the product's derivative D in a virtual decay rate:
+    exposure, its trapezoid of P_r summed over the columns: an uncoupled
+    state adds ryd |x0|^2 sum_k |phase|^(2k) to that sum.  Without decay a
+    group whose chunk product costs no more multiply-adds per step than the
+    step pass, 3 sum_k n_rows_k d_k^3 against n_blocks d n_cols sum_k d_k,
+    also applies each chunk's product, and reads its trapezoid off the
+    product's derivative D in a virtual decay rate:
     per chunk and factor, -2 Re x+ (P+ D on the factor's axis) x, plus the
     reference states' own P_r times the chunk's time.  The other groups step
     their states.  The choice needs only the plan and the column count, so a
@@ -404,24 +393,17 @@ def propagate_matrix(
             ryd_g = ryd[group.index]
             ref = group.index[:, 0]
             phase = np.exp(-1j * dt * diag[ref])
-            if constant or not group.factor_index:  # block b steps by phase_b F_r, F_r = exp of its distinct rows r
-                rows, first, row_of = np.unique(group.rows, axis=0, return_index=True, return_inverse=True)
-                i = group.index[first]
-                f = (expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(d) * diag[i[:, :1, None]]))
-                     if group.factor_index else np.ones((1, 1, 1)))
-                _log.debug("stage %d, blocks %dx%d: %d steps in closed form, %d distinct rows",
-                           i_stage, n_blocks, d, n, len(rows))
-                if need_pr:  # P_r summed over the step ends is tr(S_b G_b), with G_b the Gram matrix of x_b
-                    s = _gram_sum(np.abs(phase)[:, None, None] * f[row_of], ryd_g, n)
-                    p_steps += np.sum(psi_g.conj() * (s @ psi_g)).real
-                if record_populations:  # step the states; the final ones still come from F^n
-                    u, x = phase[:, None, None] * f[row_of], psi_g
-                    for k in range(n):
-                        x = u @ x
-                        stage_pops[k][group.index] = np.abs(x) ** 2
-                psi_g = phase[:, None, None] ** n * (np.linalg.matrix_power(f, n)[row_of] @ psi_g)
+            if not group.factor_index:  # no drive couples these states: a step is their phase alone
+                _log.debug("stage %d, %d uncoupled states: %d steps in closed form", i_stage, n_blocks, n)
+                g = 2.0 * dt * diag[ref].imag  # log |phase|^2 = -Gamma ryd dt
+                x2 = np.abs(psi_g[:, 0]) ** 2
+                if need_pr:  # the step ends' P_r is ryd |x0|^2 a^k, a = exp(g), summed over k = 1..n
+                    geo = np.where(g == 0.0, n, np.exp(g) * np.expm1(n * g) / np.where(g == 0.0, 1.0, np.expm1(g)))
+                    p_steps += np.sum(ryd_g * geo[:, None] * x2)
+                if record_populations:
+                    stage_pops[:, ref] = np.exp(np.arange(1, n + 1)[:, None, None] * g[:, None]) * x2
+                psi_g = phase[:, None, None] ** n * psi_g
             else:
-                energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
                 dims = [len(i[0]) for i in group.factor_index]
                 # without decay the trapezoid of P_r is -dN/dGamma for a virtual rate Gamma, which the chunk
                 # product carries where its three products per distinct row cost no more than the step pass
@@ -429,17 +411,23 @@ def propagate_matrix(
                     3 * sum(len(i) * dk ** 3 for i, dk in zip(group.factor_index, dims))
                     <= n_blocks * d * n_cols * sum(dims))
                 stepped = need_pr and not deriv  # the step pass gives the final states and P_r
-                nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
-                gap = 0.0
-                if weights is not None:
-                    node_exps = _factor_exponentials(group, energies, nodes, dt)
-                    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
-                _log.debug("stage %d, blocks %dx%d: %d steps by %s, nodes per axis %s, checked gap %.2e",
-                           i_stage, n_blocks, d, n,
-                           "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product",
-                           counts if weights is not None else "(the steps)", gap)
-                if gap > _CHECK_TOL:
-                    raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
+                path = "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product"
+                if constant:  # every step is the same: one exponential per distinct factor row
+                    fixed = [expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(dk) * diag[i[:, :1, None]]))
+                             for i, dk in zip(group.factor_index, dims)]
+                    _log.debug("stage %d, blocks %dx%d: %d steps in closed form by %s, distinct rows per factor %s",
+                               i_stage, n_blocks, d, n, path, [len(i) for i in group.factor_index])
+                else:
+                    energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+                    nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
+                    gap = 0.0
+                    if weights is not None:
+                        node_exps = _factor_exponentials(group, energies, nodes, dt)
+                        gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+                    _log.debug("stage %d, blocks %dx%d: %d steps by %s, nodes per axis %s, checked gap %.2e",
+                               i_stage, n_blocks, d, n, path, counts if weights is not None else "(the steps)", gap)
+                    if gap > _CHECK_TOL:
+                        raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
                 if deriv:  # a step's derivative over dt is -(w B + B w) / 4, w a factor row's Rydberg weights
                     slopes = [-0.25 * (w[:, :, None] + w[:, None, :])
                               for w in (ryd[i] - ryd[i[:, :1]] for i in group.factor_index)]
@@ -454,7 +442,8 @@ def propagate_matrix(
                 shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
                 for k0 in range(0, n, chunk):
                     k1 = min(n, k0 + chunk)
-                    exps = (_factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
+                    exps = ([np.broadcast_to(f, (k1 - k0, *f.shape)) for f in fixed] if constant else
+                            _factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
                             [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
                     x_end = psi_g
                     if stepped or record_populations:

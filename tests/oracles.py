@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import expm
 
-from rydswap.dynamics import PropagationError, StagePlan, _stage_steps
+from rydswap.dynamics import PropagationError, StagePlan, _budget_rate, _stage_steps
 from rydswap.gates import _bit_table, process_fidelity
 from rydswap.model import HamiltonianEvaluator, envelope_value
 
@@ -41,13 +41,12 @@ def _dense_oracle(plan, cols, noise=None):
     Returns the final states, the sample times (t = 0 and every step end),
     the exposure and the populations (n_samples, dim, n_cols) at those
     times.  The exposure is the integral of P_r summed over the columns:
-    on plans with one decay rate Gamma on every Rydberg level, the norm the
-    oracle loses over Gamma (the kernel's decay budget, for plans whose
-    Gamma T passes its cut, as every such plan here does by far); otherwise
-    the trapezoid of P_r.  In a stage whose drives vary the kernel splits
-    the decay off symmetrically around each unitary step; the oracle splits
-    it the same way, so the comparison measures the block assembly, not the
-    splitting.
+    on plans with one decay rate Gamma on every Rydberg level whose Gamma T
+    passes the kernel's cut (_budget_rate), the norm the oracle loses over
+    Gamma, the kernel's decay budget; otherwise the trapezoid of P_r.  In a
+    stage whose drives vary the kernel splits the decay off symmetrically
+    around each unitary step; the oracle splits it the same way, so the
+    comparison measures the block assembly, not the splitting.
     """
     psi, t_offset = cols.astype(complex), 0.0
     times, pops = [0.0], [np.abs(psi) ** 2]
@@ -71,7 +70,7 @@ def _dense_oracle(plan, cols, noise=None):
             pops.append(np.abs(psi) ** 2)
         t_offset += stage.duration
     pops, times = np.array(pops), np.array(times)
-    gamma = _single_rate(plan)
+    gamma = _single_rate(plan) if _budget_rate(plan) else 0.0
     if gamma:
         exposure = np.sum(np.abs(cols) ** 2 - np.abs(psi) ** 2) / gamma
     else:

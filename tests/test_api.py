@@ -139,9 +139,12 @@ def test_every_benchmark_binding_resolves():
     assert missing == []
 
 
-def test_a_gate_run_reaches_every_pinned_kernel_binding(monkeypatch):
+@pytest.mark.parametrize("lifetime", [400.0, None])
+def test_a_gate_run_reaches_every_pinned_kernel_binding(lifetime, monkeypatch):
     # the benchmark fails a workload whose run records no call of a pinned
-    # binding; a kernel that stops calling one shows here, not after a run
+    # binding; a kernel that stops calling one shows here, not after a run,
+    # on the decay budget (paper_small's table gates) and without decay
+    # (routing_large), where constant stages take the derivative product
     from dataclasses import replace
 
     from rydswap.dynamics import StepPolicy
@@ -163,6 +166,6 @@ def test_a_gate_run_reaches_every_pinned_kernel_binding(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert {"rydswap.dynamics:expm", "rydswap.dynamics:np.linalg.eigh",
             "rydswap.model:HamiltonianEvaluator.__call__", "rydswap.model:envelope_value"} <= set(calls)
-    proto = make_protocol("C_SWAP_CCSdag", table_params("C_SWAP_CCSdag"))
+    proto = make_protocol("C_SWAP_CCSdag", replace(table_params("C_SWAP_CCSdag"), lifetime=lifetime))
     run_gate(replace(proto, plan=replace(proto.plan, policy=StepPolicy(gaussian_resolution=25, square_resolution=20))))
     assert all(calls.values()), calls

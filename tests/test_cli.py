@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -204,6 +205,18 @@ def test_tables_harness_detects_perturbation():
         printed=-0.99, measured=0.995, tol=0.02, expected_red=False, note="",
     )
     assert ok_cell.ok  # phase comparison wraps modulo 2
+
+
+def test_tables_subcommand(tmp_path, capsys):
+    # every cell of the published tables keeps its status: 11 are limited by
+    # the printed precision, and no other fails
+    assert run_cli(["tables", "--out", str(tmp_path)]) == 0
+    summary = "78/89 cells within tolerance; 11 known print-precision-limited, 0 unexpected failures"
+    assert capsys.readouterr().out.splitlines()[-1] == f"-- {summary}"
+    with (tmp_path / "tables_diff.csv").open(newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert len(statuses) == 89
+    assert statuses.count("pass") == 78 and statuses.count("known-red") == 11
 
 
 # overrides that keep a run of each subcommand small

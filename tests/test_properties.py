@@ -2,14 +2,15 @@
 
 The plans draw 1-3 atoms of 2-4 levels (at least two logical), square and
 Gaussian drives, random frame detunings, interactions between Rydberg
-levels, collective pairs, one decay rate per basis (0, 0.4 or 1.5 per us on
-every Rydberg level), optional Doppler shifts and intensity tracks, and 1-2
-stages at small resolutions, so that every branch of the kernel runs:
-closed-form constant stages and 1-state blocks, node-interpolated and
-per-step time-dependent groups, two-cluster blocks, recorded and unrecorded
-runs, on the decay-budget and the P_r path, and over identity batches the
-decay-free chunk product with its derivative.  Examples are derandomized, so
-the suite is deterministic.
+levels, collective pairs, one decay rate per basis (0, 0.4, 1.5 or 1e-7 per
+us on every Rydberg level; 1e-7 falls below the decay budget's cut),
+optional Doppler shifts and intensity tracks, and 1-2 stages at small
+resolutions, so that every path of the kernel runs: uncoupled states in
+closed form, constant and time-dependent stages through the one chunk loop
+(the latter node-interpolated or per step), two-cluster blocks, recorded and
+unrecorded runs, on the decay budget and on the P_r path with and without
+decay, and over identity batches the decay-free chunk product with its
+derivative.  Examples are derandomized, so the suite is deterministic.
 """
 
 import math
@@ -59,8 +60,9 @@ def drives(draw, atoms):
 def cases(draw, decay=True):
     """A random small plan, a noise realization or None, and two random unit columns; decay=False draws no decay."""
     atoms = draw(st.lists(schemes(), min_size=1, max_size=3))
-    # without decay the exposure is the trapezoid of P_r; with it, the decay budget
-    basis = build_basis(atoms, draw(st.sampled_from([0.0, 0.4, 1.5])) if decay else 0.0)
+    # without decay, and at 1e-7 per us (below the budget's cut), the exposure
+    # is the trapezoid of P_r; at 0.4 and 1.5, the decay budget
+    basis = build_basis(atoms, draw(st.sampled_from([0.0, 0.4, 1.5, 1e-7])) if decay else 0.0)
     n = len(atoms)
     frame = tuple((a, label, draw(st.floats(-30.0, 30.0)))
                   for a, s in enumerate(atoms) for label in s.labels if draw(st.booleans()))
