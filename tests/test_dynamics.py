@@ -191,6 +191,34 @@ def test_exposure_sums_the_single_column_exposures(lifetime):
     assert res.time_integrated_rydberg == pytest.approx(sum(exposures), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 200, 3200])
+def test_uncoupled_geometric_sum_matches_the_explicit_sum(n):
+    # undriven states take their phase^n in closed form, and their P_r over
+    # the step ends as a geometric series in |phase|^2; with decay below the
+    # budget's cut, |phase|^2 - 1 is about -1e-7, where the series must not
+    # lose digits to cancellation
+    t = 1.0
+    basis = build_basis([qubit_scheme()] * 2, 0.5e-6 * n / t)
+    frame = ((0, "1", TWO_PI * 3.0), (1, "r", TWO_PI * 2.0))
+    plan = StagePlan((Stage(t, HamiltonianSpec(basis, (), InteractionGraph(), frame)),),
+                     StepPolicy(square_resolution=n))
+    assert dynamics._budget_rate(plan) == 0.0
+    assert all(not g.factor_index for g in plan.stages[0].spec.block_groups())
+    rng = np.random.default_rng(n)
+    cols = rng.standard_normal((basis.dim, 3)) + 1j * rng.standard_normal((basis.dim, 3))
+    cols /= np.linalg.norm(cols, axis=0)
+    res = propagate_matrix(plan, cols, record_populations=True)
+    ryd, dt = basis.rydberg_projector_diagonal(), t / n
+    x2 = np.abs(cols) ** 2
+    pops = np.exp(-basis.decay_rate * ryd[None, :, None] * np.arange(n + 1)[:, None, None] * dt) * x2
+    p_r = np.einsum("kdc,d->k", pops, ryd)
+    explicit = dt * (0.5 * p_r[0] + np.sum(p_r[1:]) - 0.5 * p_r[-1])
+    assert res.time_integrated_rydberg == pytest.approx(explicit, rel=1e-12)
+    assert np.max(np.abs(res.population_traj - pops)) < 1e-14
+    # phase^n carries the phase's rounding n times over
+    assert np.max(np.abs(np.abs(res.final_state) ** 2 - pops[-1])) < 1e-14 + n * dynamics._STEP_DRIFT
+
+
 @pytest.mark.parametrize("name", ["SWAP", "iSWAP", "sqrt_iSWAP", "C_iSWAP", "C_SWAP_CCSdag", "bSWAP"])
 def test_norm_budget_every_input(name):
     # population lost to decay plus population left adds up to the input's,
