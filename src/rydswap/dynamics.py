@@ -6,25 +6,11 @@ step is limited only by envelope smoothness.  Every drive is on for its
 whole stage, so only Stage says when a drive is on, and a stage's uniform
 step count follows from the shapes it drives (StepPolicy).  Every stage
 Hamiltonian is block-diagonal, with blocks derived from the atoms (see
-HamiltonianSpec.block_groups), and one kernel propagates each group of
-equal-shape blocks on its own.  A block's step propagator is a phase times
-the Kronecker product of its factor rows' exponentials, and the kernel works
-on the distinct rows, never on assembled blocks.  States that no drive
-couples (1-state blocks) take only their phase, in closed form.  The drive
-amplitudes are read at every step midpoint.  Where they are the same at
-every step, each distinct factor row is exponentiated once with ``expm``,
-and that exponential is every step's.  In any other stage a step's
-cluster Hamiltonians differ only in a few scalars (the Gaussian amplitude,
-an intensity factor per noisy family), the coordinates of its drive row in
-the affine span of the stage's rows, and exp(-i dt (A + x B)) is an entire
-function of them.  So each distinct cluster Hamiltonian is exponentiated,
-by a batched ``eigh``, only at a tensor grid of Chebyshev-Lobatto nodes on
-the box those coordinates fill, sized by the Bernstein-ellipse bound, and a
-step's exponential is the Lagrange-weighted sum of the node exponentials
-(Trefethen, *Approximation Theory and Approximation Practice*, ch. 8).
-Where the grid would outnumber the steps the nodes are the steps
-themselves.  The interpolant is checked against a direct exponential at
-the step of largest Lebesgue sum.
+HamiltonianSpec.block_groups), and each group of equal-shape blocks runs
+through a stage on its own.  A block's step propagator is a phase times
+the Kronecker product of its factor rows' exponentials, and the kernel
+works on the distinct rows, never on assembled blocks.  The drive
+amplitudes are read at every step midpoint.
 
 A plan runs on one basis, whose Rydberg levels all decay at one rate Gamma.
 A run reports one Rydberg exposure, the time integral of P_r summed over
@@ -34,24 +20,13 @@ steps' own norm drift over Gamma, so the budget serves only where Gamma T
 is large enough against a fixed drift per step (see _STEP_DRIFT);
 elsewhere, and without decay, the exposure is the trapezoid of P_r at t = 0
 and every step end instead.  The path is chosen from the plan, before any
-step.  Every group with factors, constant or not, runs one chunk loop.  A
-budget run computes no P_r: it reduces each chunk's step exponentials
-pairwise per distinct factor row and applies the product to the block
-states once per chunk, X <- phase^m A X B^T for two clusters.  Without
-decay a step's trapezoid of P_r is exactly -dN/dGamma at Gamma = 0 for a
-virtual decay on the Rydberg weights, and that derivative composes through
-a product of steps as the off-diagonal block of a block-triangular
-exponential does (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).
-So a decay-free group takes the chunk product with its derivative wherever
-its three products per distinct row cost no more than stepping the block
-states.  The other groups of a trapezoid run step their states through
-each chunk one step at a time; that includes every group of a run whose
-decay falls below the budget's cut, where -dN/dGamma is off by O(Gamma T).
-An uncoupled state's P_r at the step ends is a geometric series in
-|phase|^2, summed in closed form.  Recording populations changes no
-result: a recorded run steps every group with factors for its populations
-and takes its final states and exposure as an unrecorded run does.
-``propagate_matrix`` is that kernel, ``propagate`` its one-column view.
+step.
+
+``propagate_matrix`` is the kernel, ``propagate`` its one-column view.  For
+each stage and group it picks a source of step exponentials
+(_constant_source or _varying_source) and an advance of the block states
+(_advance, or _uncoupled for states no drive couples).  Recording
+populations changes no result.
 """
 from __future__ import annotations
 
@@ -59,6 +34,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -320,11 +296,142 @@ def _chunk_product(b: np.ndarray, db: np.ndarray | None = None):
     return b[0] if db is None else (b[0], db[0])
 
 
-def _apply_factors(u: list[np.ndarray], x: np.ndarray, shapes: list[tuple]) -> np.ndarray:
-    """The block states x (n_blocks, d_0, rest) times the Kronecker product of the per-block factors u, factor k on axis k."""
-    for slot in range(1, len(u)):
-        x = np.matmul(u[slot][:, None], x.reshape(shapes[slot])).reshape(x.shape)
-    return np.matmul(u[0], x)
+def _apply_steps(us: list[np.ndarray], x: np.ndarray, shapes: list[tuple]) -> np.ndarray:
+    """Block states x (n_blocks, d_0, rest) after each step j of us[k][j] (n_blocks, d_k, d_k), factor k on axis k.
+
+    Returns the states after every step, (n_steps, *x.shape).  The factors
+    commute, so the first goes last and writes the output.
+    """
+    out = np.empty((len(us[0]), *x.shape), dtype=complex)
+    steps = [(u[:, :, None], shape) for u, shape in zip(us[1:], shapes[1:])]
+    for j in range(len(out)):
+        for u, shape in steps:
+            x = np.matmul(u[j], x.reshape(shape)).reshape(out.shape[1:])
+        x = np.matmul(us[0][j], x, out=out[j])
+    return out
+
+
+def _constant_source(group: BlockGroup, diag: np.ndarray, dt: float, h_const: np.ndarray):
+    """A constant stage's step exponentials: one ``expm`` per distinct factor row, the same at every step.
+
+    A source returns a function of (k0, k1) that gives the per-factor
+    exponentials (k1 - k0, n_rows_k, d_k, d_k) of steps k0..k1, and a note
+    on how it makes them.
+    """
+    fixed = [expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(len(i[0])) * diag[i[:, :1, None]]))
+             for i in group.factor_index]
+    note = f"one expm per distinct row, rows per factor {[len(i) for i in group.factor_index]}"
+    return lambda k0, k1: [np.broadcast_to(f, (k1 - k0, *f.shape)) for f in fixed], note
+
+
+def _varying_source(group: BlockGroup, diag: np.ndarray, dt: float, factors: np.ndarray, span, i_stage: int):
+    """A time-dependent stage's step exponentials (a source, see _constant_source), interpolated.
+
+    The steps' cluster Hamiltonians differ only in the coordinates of their
+    drive rows in the rows' affine span (span, from _affine_axes), and
+    exp(-i dt (A + x B)) is entire in them.  So each distinct row is
+    exponentiated only at the tensor Chebyshev-Lobatto nodes of _nodes, and
+    a step's exponential is the Lagrange-weighted sum of the node
+    exponentials (Trefethen, *Approximation Theory and Approximation
+    Practice*, ch. 8), checked by _interpolation_gap: a gap above _CHECK_TOL
+    raises PropagationError.  Where the grid would outnumber the steps, the
+    nodes are the steps, each exponentiated directly.
+    """
+    energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
+    nodes, weights, counts = _nodes(group, factors, *span, dt)
+    if weights is None:
+        return lambda k0, k1: _factor_exponentials(group, energies, factors[k0:k1], dt), "nodes at the steps"
+    node_exps = _factor_exponentials(group, energies, nodes, dt)
+    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+    if gap > _CHECK_TOL:
+        raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
+    return (lambda k0, k1: [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps],
+            f"nodes per axis {counts}, checked gap {gap:.2e}")
+
+
+def _uncoupled(group: BlockGroup, x: np.ndarray, diag, ryd, dt: float, n: int, p_steps: float, need_pr, stage_pops):
+    """States no drive couples (1-state blocks) after n steps of their phase alone, in closed form.
+
+    Returns phase^n x and p_steps plus, with need_pr, their P_r summed over
+    the columns and the step ends, ryd |x|^2 sum_k |phase|^(2k) over
+    k = 1..n, a geometric series taken with ``expm1``.  Writes their
+    populations at the step ends to stage_pops when given.
+    """
+    ref = group.index[:, 0]
+    g = 2.0 * dt * diag[ref].imag  # log |phase|^2 = -Gamma ryd dt
+    x2 = np.abs(x[:, 0]) ** 2
+    if need_pr:
+        geo = np.where(g == 0.0, n, np.exp(g) * np.expm1(n * g) / np.where(g == 0.0, 1.0, np.expm1(g)))
+        p_steps += np.sum(ryd[group.index] * geo[:, None] * x2)
+    if stage_pops is not None:
+        stage_pops[:, ref] = np.exp(np.arange(1, n + 1)[:, None, None] * g[:, None]) * x2
+    return np.exp(-1j * dt * diag[ref])[:, None, None] ** n * x, p_steps
+
+
+def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps: float, stepped, deriv, stage_pops):
+    """A coupled group's block states x (n_blocks, d, n_cols) after n steps of source, chunk by chunk.
+
+    The step pass applies every step, through _apply_steps.  It runs when
+    stepped, adding P_r at each step end to p_steps, and when stage_pops is
+    given, writing the populations there.  Otherwise _chunk_product reduces
+    each chunk per distinct factor row, and the product is applied once:
+    X <- phase^m A X B^T for two factors.  With deriv the product carries
+    its derivative D in a virtual decay rate on the Rydberg weights, which
+    composes as the off-diagonal block of a block-triangular exponential
+    does (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); -dN/dGamma
+    at Gamma = 0 is then the trapezoid of P_r, per chunk the reference
+    states' own P_r times its steps plus -2 Re x+ (P+ D on each factor's
+    axis) x.  Returns the final states and p_steps plus the group's P_r over
+    the columns and step ends, which the bare chunk product leaves out.
+    """
+    n_blocks, d, n_cols = x.shape
+    dims = [len(i[0]) for i in group.factor_index]
+    ryd_g = ryd[group.index]
+    phase = np.exp(-1j * dt * diag[group.index[:, 0]])
+    p = 0.0 if deriv else p_steps  # with deriv, the trapezoid of P_r in units of dt
+    if deriv:  # a step's derivative over dt is -(w B + B w) / 4, w a factor row's Rydberg weights
+        slopes = [-0.25 * (w[:, :, None] + w[:, None, :]) for w in (ryd[i] - ryd[i[:, :1]] for i in group.factor_index)]
+        p0 = np.sum(ryd_g[..., None] * np.abs(x) ** 2)
+    # a chunk holds a product per distinct row, and a step pass goes through it in steps of
+    # step_chunk, each holding every block's exponentials and states
+    chunk = max(1, _CHUNK_ELEMENTS // sum(len(i) * dk * dk for i, dk in zip(group.factor_index, dims)))
+    step_chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
+    x = x.reshape(n_blocks, dims[0], -1)
+    shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
+    for k0 in range(0, n, chunk):
+        k1 = min(n, k0 + chunk)
+        exps = source(k0, k1)
+        if stepped or stage_pops is not None:
+            traj = x[None]  # the step pass's latest states; each sub-chunk starts from traj[-1]
+            for s0 in range(k0, k1, step_chunk):
+                s1 = min(k1, s0 + step_chunk)
+                us = [b[s0 - k0:s1 - k0][:, group.rows[:, slot]] for slot, b in enumerate(exps)]
+                us[0] *= phase[:, None, None]
+                traj = _apply_steps(us, traj[-1], shapes)
+                # P_r weights the squared real and imaginary parts, then adds them
+                sq = traj.reshape(s1 - s0, n_blocks * d, n_cols).view(float) ** 2
+                if stepped:
+                    p += np.sum(ryd_g.ravel() @ sq)
+                if stage_pops is not None:
+                    stage_pops[s0:s1][:, group.index.ravel()] = sq[..., 0::2] + sq[..., 1::2]
+        if stepped:
+            x = traj[-1]
+            continue
+        prods = ([_chunk_product(b, slope * b) for b, slope in zip(exps, slopes)] if deriv else
+                 [(_chunk_product(b), None) for b in exps])
+        if deriv:
+            p += (k1 - k0) * np.sum(ryd_g[:, 0] * np.sum(np.abs(x) ** 2, axis=(1, 2)))
+            for slot, (prod, dprod) in enumerate(prods):
+                e = (np.swapaxes(prod.conj(), -1, -2) @ dprod)[group.rows[:, slot]]
+                y = x.reshape(shapes[slot])
+                p -= 2.0 * np.sum(y.conj() * (e[:, None] @ y)).real
+        u = [prod[group.rows[:, slot]][None] for slot, (prod, _) in enumerate(prods)]
+        u[0] *= phase[:, None, None] ** (k1 - k0)
+        x = _apply_steps(u, x, shapes)[0]
+    x = x.reshape(n_blocks, d, n_cols)
+    if deriv:  # the trapezoid is dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2)
+        p = p_steps + (p + 0.5 * (np.sum(ryd_g[..., None] * np.abs(x) ** 2) - p0))
+    return x, p
 
 
 def propagate_matrix(
@@ -335,27 +442,17 @@ def propagate_matrix(
 ) -> PropagationResult:
     """Propagate the column states of a (dim, n_cols) matrix through all stages.
 
-    The blocks of a stage do not interact, so each group of equal-size
-    blocks runs through all of the stage's steps on its own, in step order.
-    Uncoupled states (1-state blocks) take phase^n in closed form; every
-    other group runs one chunk loop, which in a constant stage takes the
-    same exponentials at every step.  Where _budget_rate gives the basis's
-    decay rate Gamma, the exposure is the norm lost over Gamma, since
-    d|psi|^2/dt = -Gamma P_r; no P_r is computed, and each chunk's
-    pairwise-reduced step product is applied to the block states once.
-    Otherwise a stage adds
-    dt (P_r(start) / 2 + sum of P_r at its step ends - P_r(end) / 2) to the
-    exposure, its trapezoid of P_r summed over the columns: an uncoupled
-    state adds ryd |x0|^2 sum_k |phase|^(2k) to that sum.  Without decay a
-    group whose chunk product costs no more multiply-adds per step than the
-    step pass, 3 sum_k n_rows_k d_k^3 against n_blocks d n_cols sum_k d_k,
-    also applies each chunk's product, and reads its trapezoid off the
-    product's derivative D in a virtual decay rate:
-    per chunk and factor, -2 Re x+ (P+ D on the factor's axis) x, plus the
-    reference states' own P_r times the chunk's time.  The other groups step
-    their states.  The choice needs only the plan and the column count, so a
-    recorded run takes its final states and exposure from the same products
-    and only its populations from a step pass.
+    It picks each stage's source: _constant_source where the drive rows are
+    the same at every step, else _varying_source.  It picks each group's
+    advance: _uncoupled for uncoupled states; for the others the chunk
+    product where _budget_rate gives the decay rate Gamma (the exposure is
+    then the norm lost over Gamma); without decay, the chunk product with
+    its derivative where 3 sum_k n_rows_k d_k^3 <= n_blocks d n_cols
+    sum_k d_k (three products per distinct row cost no more than stepping
+    the states); and otherwise, as below the budget's cut, where -dN/dGamma
+    is off by O(Gamma T), the step pass.  A recorded run also steps every
+    group for its populations.  Without the budget each stage adds
+    dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2) to the exposure.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
     if np.any(norms0 > 1.0 + 1e-9):
@@ -364,7 +461,6 @@ def propagate_matrix(
         raise ValueError("plan basis dimension does not match the propagated state")
     gamma = _budget_rate(plan)
     cols = columns.astype(complex)
-    n_cols = cols.shape[1]
     need_pr = not gamma
 
     ryd = plan.basis.rydberg_projector_diagonal()
@@ -379,115 +475,29 @@ def propagate_matrix(
         dt = stage.duration / n
         evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
         factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
-        constant = np.all(factors == factors[0])
-        if constant:
-            h_const = evaluator(0.5 * dt)
-        else:
-            axes, coords = _affine_axes(factors)
         diag = evaluator.diagonal
+        if np.all(factors == factors[0]):
+            make_source = partial(_constant_source, h_const=evaluator(0.5 * dt))
+        else:
+            make_source = partial(_varying_source, factors=factors, span=_affine_axes(factors), i_stage=i_stage)
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
-            n_blocks, d = group.index.shape
             psi_g = cols[group.index]  # (n_blocks, d, n_cols)
-            ryd_g = ryd[group.index]
-            ref = group.index[:, 0]
-            phase = np.exp(-1j * dt * diag[ref])
-            if not group.factor_index:  # no drive couples these states: a step is their phase alone
-                _log.debug("stage %d, %d uncoupled states: %d steps in closed form", i_stage, n_blocks, n)
-                g = 2.0 * dt * diag[ref].imag  # log |phase|^2 = -Gamma ryd dt
-                x2 = np.abs(psi_g[:, 0]) ** 2
-                if need_pr:  # the step ends' P_r is ryd |x0|^2 a^k, a = exp(g), summed over k = 1..n
-                    geo = np.where(g == 0.0, n, np.exp(g) * np.expm1(n * g) / np.where(g == 0.0, 1.0, np.expm1(g)))
-                    p_steps += np.sum(ryd_g * geo[:, None] * x2)
-                if record_populations:
-                    stage_pops[:, ref] = np.exp(np.arange(1, n + 1)[:, None, None] * g[:, None]) * x2
-                psi_g = phase[:, None, None] ** n * psi_g
-            else:
-                dims = [len(i[0]) for i in group.factor_index]
-                # without decay the trapezoid of P_r is -dN/dGamma for a virtual rate Gamma, which the chunk
-                # product carries where its three products per distinct row cost no more than the step pass
-                deriv = need_pr and not plan.basis.decay_rate and (
-                    3 * sum(len(i) * dk ** 3 for i, dk in zip(group.factor_index, dims))
-                    <= n_blocks * d * n_cols * sum(dims))
-                stepped = need_pr and not deriv  # the step pass gives the final states and P_r
+            if not group.factor_index:
+                path, note = "closed form", "the diagonal alone"
+                psi_g, p_steps = _uncoupled(group, psi_g, diag, ryd, dt, n, p_steps, need_pr, stage_pops)
+            else:  # the flop rule of the docstring, without decay
+                rows, dims = np.array([i.shape for i in group.factor_index]).T
+                deriv = not plan.basis.decay_rate and 3 * rows @ dims ** 3 <= psi_g.size * dims.sum()
+                stepped = need_pr and not deriv
                 path = "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product"
-                if constant:  # every step is the same: one exponential per distinct factor row
-                    fixed = [expm(-1j * dt * (h_const[i[:, :, None], i[:, None, :]] - np.eye(dk) * diag[i[:, :1, None]]))
-                             for i, dk in zip(group.factor_index, dims)]
-                    _log.debug("stage %d, blocks %dx%d: %d steps in closed form by %s, distinct rows per factor %s",
-                               i_stage, n_blocks, d, n, path, [len(i) for i in group.factor_index])
-                else:
-                    energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
-                    nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
-                    gap = 0.0
-                    if weights is not None:
-                        node_exps = _factor_exponentials(group, energies, nodes, dt)
-                        gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
-                    _log.debug("stage %d, blocks %dx%d: %d steps by %s, nodes per axis %s, checked gap %.2e",
-                               i_stage, n_blocks, d, n, path, counts if weights is not None else "(the steps)", gap)
-                    if gap > _CHECK_TOL:
-                        raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
-                if deriv:  # a step's derivative over dt is -(w B + B w) / 4, w a factor row's Rydberg weights
-                    slopes = [-0.25 * (w[:, :, None] + w[:, None, :])
-                              for w in (ryd[i] - ryd[i[:, :1]] for i in group.factor_index)]
-                    p_g0, trap = np.sum(ryd_g[..., None] * np.abs(psi_g) ** 2), 0.0  # trap in units of dt
-                # factor k acts on axis k of the block states; the factors commute, so the
-                # first goes last and writes the trajectory
-                # a chunk holds a product per distinct row, and a step pass goes through it in steps of
-                # step_chunk, each holding every block's exponentials and states
-                chunk = max(1, _CHUNK_ELEMENTS // sum(len(i) * dk * dk for i, dk in zip(group.factor_index, dims)))
-                step_chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
-                psi_g = psi_g.reshape(n_blocks, dims[0], -1)
-                shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
-                for k0 in range(0, n, chunk):
-                    k1 = min(n, k0 + chunk)
-                    exps = ([np.broadcast_to(f, (k1 - k0, *f.shape)) for f in fixed] if constant else
-                            _factor_exponentials(group, energies, factors[k0:k1], dt) if weights is None else
-                            [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps])
-                    x_end = psi_g
-                    if stepped or record_populations:
-                        for s0 in range(k0, k1, step_chunk):
-                            s1 = min(k1, s0 + step_chunk)
-                            us = [b[s0 - k0:s1 - k0][:, group.rows[:, slot]] for slot, b in enumerate(exps)]
-                            us[0] *= phase[:, None, None]
-                            steps = [(u[:, :, None], shape) for u, shape in zip(us[1:], shapes[1:])]
-                            traj = np.empty((s1 - s0, *psi_g.shape), dtype=complex)
-                            for j in range(s1 - s0):
-                                x = x_end
-                                for u, shape in steps:
-                                    x = np.matmul(u[j], x.reshape(shape)).reshape(psi_g.shape)
-                                x_end = np.matmul(us[0][j], x, out=traj[j])
-                            # P_r weights the squared real and imaginary parts, then adds them
-                            sq = traj.reshape(s1 - s0, n_blocks * d, n_cols).view(float) ** 2
-                            if stepped:
-                                p_steps += np.sum(ryd_g.ravel() @ sq)
-                            if record_populations:
-                                stage_pops[s0:s1][:, group.index] = (sq[..., 0::2] + sq[..., 1::2]).reshape(
-                                    s1 - s0, n_blocks, d, n_cols)
-                    if stepped:
-                        psi_g = x_end
-                        continue
-                    # one step by the chunk's product, factor by factor; with its derivative, the chunk's
-                    # -dN/dGamma is the reference states' decay plus -2 Re x+ (P+ D on each factor's axis) x
-                    if deriv:
-                        prods = [_chunk_product(b, slope * b) for b, slope in zip(exps, slopes)]
-                        trap += (k1 - k0) * np.sum(ryd[ref] * np.sum(np.abs(psi_g) ** 2, axis=(1, 2)))
-                        for slot, (p, dp) in enumerate(prods):
-                            e = (np.swapaxes(p.conj(), -1, -2) @ dp)[group.rows[:, slot]]
-                            x = psi_g.reshape(shapes[slot])
-                            trap -= 2.0 * np.sum(x.conj() * (e[:, None] @ x)).real
-                    else:
-                        prods = [(_chunk_product(b), None) for b in exps]
-                    u = [p[group.rows[:, slot]] for slot, (p, _) in enumerate(prods)]
-                    u[0] *= phase[:, None, None] ** (k1 - k0)
-                    psi_g = _apply_factors(u, psi_g, shapes)
-                if deriv:  # the trapezoid is dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2)
-                    p_g = np.sum(ryd_g[..., None] * np.abs(psi_g.reshape(n_blocks, d, n_cols)) ** 2)
-                    p_steps += trap + 0.5 * (p_g - p_g0)
+                source, note = make_source(group, diag, dt)
+                psi_g, p_steps = _advance(group, source, psi_g, diag, ryd, dt, n, p_steps, stepped, deriv, stage_pops)
+            _log.debug("stage %d, blocks %dx%d: %d steps by %s, from %s", i_stage, *group.index.shape, n, path, note)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
-            cols[group.index] = psi_g.reshape(n_blocks, d, n_cols)
+            cols[group.index] = psi_g
         if need_pr:
             p_start, p_end = p_end, ryd @ np.sum(np.abs(cols) ** 2, axis=1)
             exposure += dt * (0.5 * p_start + p_steps - 0.5 * p_end)

@@ -21,8 +21,7 @@ from rydswap.dynamics import (
     _factor_exponentials,
     _nodes,
     _stage_steps,
-    _tensor_weights,
-    _weighted,
+    _varying_source,
     propagate,
     propagate_matrix,
 )
@@ -180,9 +179,10 @@ def test_propagate_matrix_matches_vector_propagation():
 
 @pytest.mark.parametrize("lifetime", [400.0, None])
 def test_exposure_sums_the_single_column_exposures(lifetime):
-    # at 400 us the exposure is the decay budget; without decay the constant
-    # control stages take P_r as a trace against each block's Gram matrix over
-    # the columns, and the time-dependent target stage from the stepped states
+    # at 400 us the exposure is the decay budget.  Without decay this compares
+    # two advances: at 8 columns the constant control stages take the chunk
+    # product with its derivative, and at one column the step pass (as the
+    # DEBUG log shows); the time-dependent target stage steps in both
     proto = make_protocol("C_SWAP_CCSdag", replace(table_params("C_SWAP_CCSdag"), lifetime=lifetime))
     cols = np.eye(proto.basis.dim, dtype=complex)[:, list(proto.basis.comp_indices)]
     res = propagate_matrix(proto.plan, cols)
@@ -446,7 +446,7 @@ def test_two_cluster_budget_run_matches_dense_oracle(rate, per_step, small_chunk
         cols = np.eye(basis.dim)
     with caplog.at_level(logging.DEBUG, logger="rydswap"):
         res = propagate_matrix(plan, cols, record_populations=True)
-    assert set(re.findall(r"steps by ([a-z ]+),", caplog.text)) == {
+    assert set(re.findall(r"steps by ([a-z ]+), from nodes", caplog.text)) == {
         "chunk product with derivative" if not rate else "chunk product"}
     _assert_matches_oracle(res, plan, cols, None, 1e-9)
     assert np.max(np.abs(res.population_traj[-1] - np.abs(res.final_state) ** 2)) < 1e-12
@@ -491,7 +491,7 @@ def test_routing_target_groups_take_the_cheaper_decay_free_path(caplog):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="rydswap"):
             run_gate(proto)
-        assert set(re.findall(r"steps by ([a-z ]+),", caplog.text)) == {expected[variant]}, variant
+        assert set(re.findall(r"steps by ([a-z ]+), from nodes", caplog.text)) == {expected[variant]}, variant
 
 
 @pytest.mark.parametrize("name", ["SWAP", "C_SWAP_CCSdag"])
@@ -522,7 +522,8 @@ def _interpolation_case(name):
 def _step_exponentials(plan, noise, index):
     """Per group with factors: (nodes per axis, direct and interpolated factor exponentials at every step).
 
-    The interpolated ones are None where the nodes are the steps.
+    The interpolated ones come from the kernel's own source, _varying_source,
+    and are None where the nodes are the steps.
     """
     stage = plan.stages[index]
     n = _stage_steps(stage, plan.policy)
@@ -530,16 +531,15 @@ def _step_exponentials(plan, noise, index):
     t_offset = sum(s.duration for s in plan.stages[:index])
     evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
     factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
-    axes, coords = _affine_axes(factors)
+    span = _affine_axes(factors)
     out = []
     for group in stage.spec.block_groups():
         if group.factor_index:
-            energies = [evaluator.diagonal[i] - evaluator.diagonal[i[:, :1]] for i in group.factor_index]
-            nodes, weights, counts = _nodes(group, factors, axes, coords, dt)
-            direct = _factor_exponentials(group, energies, factors, dt)
-            interp = None if weights is None else [
-                _weighted(_tensor_weights(weights, 0, n), f) for f in _factor_exponentials(group, energies, nodes, dt)]
-            out.append((counts, direct, interp))
+            diag = evaluator.diagonal
+            direct = _factor_exponentials(group, [diag[i] - diag[i[:, :1]] for i in group.factor_index], factors, dt)
+            _, weights, counts = _nodes(group, factors, *span, dt)
+            source, _ = _varying_source(group, diag, dt, factors, span, index)
+            out.append((counts, direct, None if weights is None else source(0, n)))
     return out
 
 
