@@ -27,6 +27,14 @@ each stage and group it picks a source of step exponentials
 (_constant_source or _varying_source) and an advance of the block states
 (_advance, or _uncoupled for states no drive couples).  Recording
 populations changes no result.
+
+A chunk product reduces only steps it has not already seen.  A constant
+stage repeats one step, which it raises to the chunk's length by repeated
+squaring.  A time-dependent stage whose drive rows read the same backwards
+(a Gaussian centred on its stage, square drives, Doppler shifts on the
+diagonal; intensity tracks break it) is mirrored: its complex symmetric
+split-decay steps satisfy b_(n-1-k) = b_k^T, so the product of its second
+half is the first half's transpose, U = P^T P per distinct factor row.
 """
 from __future__ import annotations
 
@@ -72,6 +80,11 @@ _CHECK_TOL = 1e-10
 # below the cut (SWAP at its cut, a lifetime of about 1.5 ms).
 _STEP_DRIFT = 1e-15
 _BUDGET_TOL = 1e-9
+
+# A time-dependent stage is mirrored where its drive rows equal their reverse
+# to within _MIRROR_ULPS ulps of the largest factor; the catalog gates' target
+# stages read the same backwards to 0.45 ulps.
+_MIRROR_ULPS = 4
 
 _log = logging.getLogger("rydswap")
 
@@ -148,9 +161,12 @@ class PropagationResult:
     _STEP_DRIFT), and otherwise the trapezoid of P_r sampled at t = 0 and at
     the end of every integrator step; without decay, groups that take the
     chunk product read that trapezoid off its derivative in a virtual decay
-    rate.  When populations are recorded, population_traj holds |psi|^2 per
-    basis state at those samples and times their times; otherwise both are
-    None.  Recording changes none of the other fields.
+    rate.  Off the step pass, final_state, norm_loss and the exposure take a
+    mirrored stage's second half as its first half's product transposed.
+    When populations are recorded, population_traj holds |psi|^2 per basis
+    state at those samples, stepped through every step, and times their
+    times; otherwise both are None.  Recording changes none of the other
+    fields.
     """
 
     final_state: np.ndarray
@@ -280,12 +296,30 @@ def _budget_rate(plan: StagePlan) -> float:
     return gamma if gamma * plan.total_duration * _BUDGET_TOL >= n * _STEP_DRIFT else 0.0
 
 
-def _chunk_product(b: np.ndarray, db: np.ndarray | None = None):
-    """b[-1] @ ... @ b[0] over the first axis (a chunk's steps, in order), in log2(len(b)) batched products.
+def _then(later, earlier):
+    """(P2, D2) after (P1, D1): (P2 P1, D2 P1 + P2 D1); D is None where no derivative is carried."""
+    (p2, d2), (p1, d1) = later, earlier
+    return p2 @ p1, None if d2 is None else d2 @ p1 + p2 @ d1
 
-    Given db, the steps' derivatives in a parameter, it returns the product
-    and its derivative: (P2, D2) after (P1, D1) is (P2 P1, D2 P1 + P2 D1).
+
+def _chunk_product(b: np.ndarray, db: np.ndarray | None = None):
+    """b[-1] @ ... @ b[0] over the first axis (a chunk's steps, in order).
+
+    A broadcast b, one step repeated (stride 0 on the step axis, see
+    _constant_source), is b[0] raised to len(b) by repeated squaring; any
+    other b takes log2(len(b)) batched pairwise products.  Given db, the
+    steps' derivatives in a parameter (a broadcast where b is one), it
+    returns the product and its derivative, composed by _then.
     """
+    if not b.strides[0]:
+        step, out, m = (b[0], None if db is None else db[0]), None, len(b)
+        while True:
+            if m & 1:
+                out = step if out is None else _then(step, out)
+            m >>= 1
+            if not m:
+                return out[0] if db is None else out
+            step = _then(step, step)
     while len(b) > 1:
         lo, hi = b[:len(b) - 1:2], b[1::2]
         if db is not None:
@@ -368,7 +402,8 @@ def _uncoupled(group: BlockGroup, x: np.ndarray, diag, ryd, dt: float, n: int, p
     return np.exp(-1j * dt * diag[ref])[:, None, None] ** n * x, p_steps
 
 
-def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps: float, stepped, deriv, stage_pops):
+def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps: float, stepped, deriv, mirrored,
+             stage_pops):
     """A coupled group's block states x (n_blocks, d, n_cols) after n steps of source, chunk by chunk.
 
     The step pass applies every step, through _apply_steps.  It runs when
@@ -381,8 +416,13 @@ def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps
     does (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); -dN/dGamma
     at Gamma = 0 is then the trapezoid of P_r, per chunk the reference
     states' own P_r times its steps plus -2 Re x+ (P+ D on each factor's
-    axis) x.  Returns the final states and p_steps plus the group's P_r over
-    the columns and step ends, which the bare chunk product leaves out.
+    axis) x.  A mirrored stage (n even, step n-1-k the same complex
+    symmetric exponential as step k) reduces only steps 0..n/2, and also
+    accumulates their product H per distinct row; steps n/2..n are then one
+    chunk of H^T, with derivative D_H^T.  A recording run still steps them
+    for its populations, on from the states at n/2.  Returns the final
+    states and p_steps plus the group's P_r over the columns and step ends,
+    which the bare chunk product leaves out.
     """
     n_blocks, d, n_cols = x.shape
     dims = [len(i[0]) for i in group.factor_index]
@@ -398,11 +438,15 @@ def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps
     step_chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * max(sum(dk * dk for dk in dims), d * n_cols)))
     x = x.reshape(n_blocks, dims[0], -1)
     shapes = [(n_blocks, math.prod(dims[:slot]), dk, -1) for slot, dk in enumerate(dims)]
-    for k0 in range(0, n, chunk):
-        k1 = min(n, k0 + chunk)
-        exps = source(k0, k1)
+    split = n // 2 if mirrored else n  # the products reduce steps 0..split
+    half = None  # when mirrored, the product of the steps reduced so far, per distinct row
+    second = range(split, n, chunk) if stage_pops is not None else [split] if mirrored else []
+    for k0 in [*range(0, split, chunk), *second]:
+        k1 = min(split if k0 < split else n, k0 + chunk)
+        exps = source(k0, k1) if k0 < split or stage_pops is not None else None
         if stepped or stage_pops is not None:
-            traj = x[None]  # the step pass's latest states; each sub-chunk starts from traj[-1]
+            if k0 <= split:  # the step pass's latest states: the product's at each chunk up to the middle
+                traj = x[None]
             for s0 in range(k0, k1, step_chunk):
                 s1 = min(k1, s0 + step_chunk)
                 us = [b[s0 - k0:s1 - k0][:, group.rows[:, slot]] for slot, b in enumerate(exps)]
@@ -417,16 +461,25 @@ def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps
         if stepped:
             x = traj[-1]
             continue
-        prods = ([_chunk_product(b, slope * b) for b, slope in zip(exps, slopes)] if deriv else
-                 [(_chunk_product(b), None) for b in exps])
+        if k0 < split:
+            m = k1 - k0
+            prods = ([_chunk_product(b, np.broadcast_to(slope * b[0], b.shape) if not b.strides[0] else slope * b)
+                      for b, slope in zip(exps, slopes)] if deriv else [(_chunk_product(b), None) for b in exps])
+            if mirrored:
+                half = prods if half is None else [_then(c, h) for c, h in zip(prods, half)]
+        elif k0 == split:  # steps split..n are steps 0..split backwards, each transposed
+            m = n - split
+            prods = [(np.swapaxes(h, -1, -2), None if dh is None else np.swapaxes(dh, -1, -2)) for h, dh in half]
+        else:
+            continue
         if deriv:
-            p += (k1 - k0) * np.sum(ryd_g[:, 0] * np.sum(np.abs(x) ** 2, axis=(1, 2)))
+            p += m * np.sum(ryd_g[:, 0] * np.sum(np.abs(x) ** 2, axis=(1, 2)))
             for slot, (prod, dprod) in enumerate(prods):
                 e = (np.swapaxes(prod.conj(), -1, -2) @ dprod)[group.rows[:, slot]]
                 y = x.reshape(shapes[slot])
                 p -= 2.0 * np.sum(y.conj() * (e[:, None] @ y)).real
         u = [prod[group.rows[:, slot]][None] for slot, (prod, _) in enumerate(prods)]
-        u[0] *= phase[:, None, None] ** (k1 - k0)
+        u[0] *= phase[:, None, None] ** m
         x = _apply_steps(u, x, shapes)[0]
     x = x.reshape(n_blocks, d, n_cols)
     if deriv:  # the trapezoid is dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2)
@@ -443,15 +496,20 @@ def propagate_matrix(
     """Propagate the column states of a (dim, n_cols) matrix through all stages.
 
     It picks each stage's source: _constant_source where the drive rows are
-    the same at every step, else _varying_source.  It picks each group's
+    the same at every step, else _varying_source.  A time-dependent stage of
+    an even step count is mirrored where its rows equal their reverse to
+    within _MIRROR_ULPS ulps of the largest factor.  It picks each group's
     advance: _uncoupled for uncoupled states; for the others the chunk
     product where _budget_rate gives the decay rate Gamma (the exposure is
     then the norm lost over Gamma); without decay, the chunk product with
-    its derivative where 3 sum_k n_rows_k d_k^3 <= n_blocks d n_cols
-    sum_k d_k (three products per distinct row cost no more than stepping
-    the states); and otherwise, as below the budget's cut, where -dN/dGamma
-    is off by O(Gamma T), the step pass.  A recorded run also steps every
-    group for its populations.  Without the budget each stage adds
+    its derivative in constant and mirrored stages, whose products reduce
+    by binary powers or over the first half, and elsewhere where
+    3 sum_k n_rows_k d_k^3 <= n_blocks d n_cols sum_k d_k (three products
+    per distinct row cost no more than stepping the states); and otherwise,
+    as below the budget's cut, where -dN/dGamma is off by O(Gamma T), the
+    step pass.  Today only intensity-noise stages without decay are left to
+    that flop rule.  A recorded run also steps every group for its
+    populations.  Without the budget each stage adds
     dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2) to the exposure.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
@@ -476,10 +534,13 @@ def propagate_matrix(
         evaluator = HamiltonianEvaluator(stage.spec, stage.duration, noise, t_offset)
         factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
         diag = evaluator.diagonal
-        if np.all(factors == factors[0]):
+        constant = np.all(factors == factors[0])
+        if constant:
             make_source = partial(_constant_source, h_const=evaluator(0.5 * dt))
         else:
             make_source = partial(_varying_source, factors=factors, span=_affine_axes(factors), i_stage=i_stage)
+        tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(factors), initial=0.0)
+        mirrored = not constant and n % 2 == 0 and np.all(np.abs(factors - factors[::-1]) <= tol)
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():
@@ -487,13 +548,17 @@ def propagate_matrix(
             if not group.factor_index:
                 path, note = "closed form", "the diagonal alone"
                 psi_g, p_steps = _uncoupled(group, psi_g, diag, ryd, dt, n, p_steps, need_pr, stage_pops)
-            else:  # the flop rule of the docstring, without decay
+            else:  # the advance rule of the docstring, without decay
                 rows, dims = np.array([i.shape for i in group.factor_index]).T
-                deriv = not plan.basis.decay_rate and 3 * rows @ dims ** 3 <= psi_g.size * dims.sum()
+                deriv = not plan.basis.decay_rate and (
+                    constant or mirrored or 3 * rows @ dims ** 3 <= psi_g.size * dims.sum())
                 stepped = need_pr and not deriv
                 path = "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product"
                 source, note = make_source(group, diag, dt)
-                psi_g, p_steps = _advance(group, source, psi_g, diag, ryd, dt, n, p_steps, stepped, deriv, stage_pops)
+                if not stepped:
+                    note += "; by binary powers" if constant else "; first half, mirrored" if mirrored else ""
+                psi_g, p_steps = _advance(group, source, psi_g, diag, ryd, dt, n, p_steps, stepped, deriv,
+                                          mirrored and not stepped, stage_pops)
             _log.debug("stage %d, blocks %dx%d: %d steps by %s, from %s", i_stage, *group.index.shape, n, path, note)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")

@@ -18,6 +18,7 @@ from rydswap.dynamics import (
     StepPolicy,
     _affine_axes,
     _axis_nodes,
+    _chunk_product,
     _factor_exponentials,
     _nodes,
     _stage_steps,
@@ -179,16 +180,37 @@ def test_propagate_matrix_matches_vector_propagation():
 
 @pytest.mark.parametrize("lifetime", [400.0, None])
 def test_exposure_sums_the_single_column_exposures(lifetime):
-    # at 400 us the exposure is the decay budget.  Without decay this compares
-    # two advances: at 8 columns the constant control stages take the chunk
-    # product with its derivative, and at one column the step pass (as the
-    # DEBUG log shows); the time-dependent target stage steps in both
+    # at 400 us the exposure is the decay budget.  Without decay every stage
+    # takes the chunk product with its derivative at 8 columns and at one: the
+    # constant control stages by binary powers, the target stage mirrored
     proto = make_protocol("C_SWAP_CCSdag", replace(table_params("C_SWAP_CCSdag"), lifetime=lifetime))
     cols = np.eye(proto.basis.dim, dtype=complex)[:, list(proto.basis.comp_indices)]
     res = propagate_matrix(proto.plan, cols)
     exposures = [propagate(proto.plan, c).time_integrated_rydberg for c in cols.T]
     assert min(exposures) > 0.0
     assert res.time_integrated_rydberg == pytest.approx(sum(exposures), rel=1e-12)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 200])
+def test_binary_powers_match_the_pairwise_product(n, deriv):
+    # a broadcast chunk (one step repeated) is raised to its length by
+    # repeated squaring, a materialised copy of it is reduced pairwise
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 4, 4))
+    h = a + np.swapaxes(a, -1, -2) - 0.05j * np.diag(rng.random(4))
+    b0 = np.stack([expm(-0.3j * hk) for hk in h])
+    w = rng.random(4)
+    db0 = -0.25 * (w[:, None] + w[None, :]) * b0
+    b = np.broadcast_to(b0, (n, *b0.shape))
+    db = np.broadcast_to(db0, b.shape) if deriv else None
+    assert b.strides[0] == 0
+    powered = _chunk_product(b, db)
+    pairwise = _chunk_product(b.copy(), None if db is None else db.copy())
+    if not deriv:
+        powered, pairwise = [powered], [pairwise]
+    for x, y in zip(powered, pairwise):
+        assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
 
 
 @pytest.mark.parametrize("n", [*range(1, 10), 200, 3200])
@@ -368,7 +390,7 @@ def _oracle_case(name):
 @pytest.mark.parametrize("name", ["MUX_SWAP_4T", "Ck_SWAP", "noisy C_SWAP_CCSdag",
                                   "MUX_SWAP_4T lifetime None", "Ck_SWAP lifetime None",
                                   "MUX_SWAP_4T lifetime 1e6", "Ck_SWAP lifetime 1e6"])
-def test_merged_and_factored_kernel_matches_dense_oracle(name):
+def test_merged_and_factored_kernel_matches_dense_oracle(name, caplog):
     # MUX_SWAP_4T's target blocks are Kronecker products of two pair
     # factors, Ck_SWAP merges 9 target blocks into 3 distinct ones, and the
     # noisy shot adds Doppler shifts and intensity tracks; with decay, and
@@ -380,7 +402,15 @@ def test_merged_and_factored_kernel_matches_dense_oracle(name):
     if name.endswith("1e6"):
         assert proto.basis.decay_rate and dynamics._budget_rate(plan) == 0.0
     cols = np.eye(proto.basis.dim)[:, list(proto.basis.comp_indices)]
-    _assert_matches_oracle(propagate_matrix(plan, cols, noise), plan, cols, noise, 1e-9)
+    with caplog.at_level(logging.DEBUG, logger="rydswap"):
+        res = propagate_matrix(plan, cols, noise)
+    # the time-dependent target stage's product covers its first half and
+    # mirrors it, except where the noisy shot's intensity tracks break its
+    # mirror symmetry (and that of every stage) and below the cut, where it steps
+    target = re.findall(r"steps by .*, from nodes.*", caplog.text)
+    assert target and {line.endswith("; first half, mirrored") for line in target} == {
+        not name.startswith("noisy") and not name.endswith("1e6")}
+    _assert_matches_oracle(res, plan, cols, noise, 1e-9)
 
 
 def _constant_stage_plan():
@@ -448,6 +478,9 @@ def test_two_cluster_budget_run_matches_dense_oracle(rate, per_step, small_chunk
         res = propagate_matrix(plan, cols, record_populations=True)
     assert set(re.findall(r"steps by ([a-z ]+), from nodes", caplog.text)) == {
         "chunk product with derivative" if not rate else "chunk product"}
+    # the stage reads the same backwards, so its products reduce the first
+    # half (over several chunks with small chunks) and apply its transpose
+    assert set(re.findall(r"from nodes[^;\n]*; ([a-z ,]+)", caplog.text)) == {"first half, mirrored"}
     _assert_matches_oracle(res, plan, cols, None, 1e-9)
     assert np.max(np.abs(res.population_traj[-1] - np.abs(res.final_state) ** 2)) < 1e-12
     bare = propagate_matrix(plan, cols)
@@ -469,6 +502,21 @@ def test_zero_column_batch_gives_the_empty_result(name, record):
         assert res.population_traj is None
 
 
+@pytest.mark.parametrize("lifetime", [400.0, None])
+@pytest.mark.parametrize("name", ["SWAP", "C_SWAP_CCSdag"])
+def test_mirrored_stage_matches_the_full_product(name, lifetime, monkeypatch, caplog):
+    # a negative tolerance defeats the mirror check: the target stage then
+    # reduces every step, and at lifetime None its group steps by the flop rule
+    proto = make_protocol(name, replace(table_params(name), lifetime=lifetime))
+    mirrored = run_gate(proto)
+    monkeypatch.setattr(dynamics, "_MIRROR_ULPS", -1)
+    with caplog.at_level(logging.DEBUG, logger="rydswap"):
+        full = run_gate(proto)
+    assert "mirrored" not in caplog.text and "from nodes" in caplog.text
+    assert np.max(np.abs(full.u_gate - mirrored.u_gate)) < 1e-13
+    assert full.t_bar_r == pytest.approx(mirrored.t_bar_r, rel=1e-9 if lifetime else 1e-12)
+
+
 def _routing_protocols():
     """The routing gates at the benchmark's routing_large points, by variant."""
     spec = importlib.util.spec_from_file_location(
@@ -480,11 +528,11 @@ def _routing_protocols():
 
 
 def test_routing_target_groups_take_the_cheaper_decay_free_path(caplog):
-    # without decay a time-dependent group takes the chunk product with its
-    # derivative where three products per distinct row cost no more than the
-    # step pass: MUX_SWAP_4T's 8 x 8 pair factors and Ck_SWAP's 3 distinct
-    # 8-state rows do, MUX_SWAP_3T's 20-state rows do not
-    expected = {"MUX_SWAP_3T": "step pass", "MUX_SWAP_4T": "chunk product with derivative",
+    # without decay a mirrored group takes the chunk product with its
+    # derivative over its first half, and every target stage of the routing
+    # gates is mirrored; the flop rule, which alone would keep MUX_SWAP_3T's
+    # 20-state rows on the step pass, serves only groups that are not
+    expected = {"MUX_SWAP_3T": "chunk product with derivative", "MUX_SWAP_4T": "chunk product with derivative",
                 "Ck_SWAP": "chunk product with derivative"}
     for variant, proto in _routing_protocols().items():
         assert proto.basis.decay_rate == 0.0

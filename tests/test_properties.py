@@ -7,10 +7,10 @@ us on every Rydberg level; 1e-7 falls below the decay budget's cut),
 optional Doppler shifts and intensity tracks, and 1-2 stages at small
 resolutions, so that every path of the kernel runs: uncoupled states in
 closed form, constant and time-dependent stages through the one chunk loop
-(the latter node-interpolated or per step), two-cluster blocks, recorded and
-unrecorded runs, on the decay budget and on the P_r path with and without
-decay, and over identity batches the decay-free chunk product with its
-derivative.  Examples are derandomized, so the suite is deterministic.
+(the latter node-interpolated or per step, and mirrored unless intensity
+tracks break it), two-cluster blocks, recorded and unrecorded runs, on the
+decay budget and on the P_r path with and without decay, and over identity
+batches the decay-free chunk product with its derivative.  Examples are derandomized, so the suite is deterministic.
 """
 
 import math
