@@ -6,7 +6,7 @@ value is read and which subcommands read it; every other key, every key the
 running subcommand does not read, and every value that cannot be read or
 that the library rejects is a ConfigError (exit 2).  Ordinary-frequency
 values are multiplied by 2*pi on ingestion.  Every output directory receives a machine-readable
-summary.json with the resolved parameter set echoed for provenance, plus
+summary.json with the resolved parameter set and the versions of the run's software stack, plus
 CSV blocks laid out like the published result tables (amplitude moduli,
 phases in units of pi, per-input loss).
 """
@@ -17,6 +17,7 @@ import argparse
 import configparser
 import json
 import math
+import platform
 import re
 import sys
 from dataclasses import MISSING, asdict, fields, replace
@@ -24,8 +25,9 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import presets as presets_pkg
+from . import __version__, presets as presets_pkg
 from .analytic import calibrate_swap_time, swap_time_estimate
 from .dynamics import propagate
 from .gates import (
@@ -236,6 +238,13 @@ def _json(d: dict) -> str:
     return json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
+def _summary(d: dict) -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return _json({**d, "provenance": {"rydswap": __version__, "python": platform.python_version(),
+                                      "numpy": np.__version__, "scipy": scipy.__version__,
+                                      "blas": {k: blas[k] for k in ("name", "version")}}})
+
+
 def _params_echo(variant: str, params: GateParams) -> dict:
     d = asdict(params)
     d["variant"] = variant
@@ -276,7 +285,7 @@ def cmd_gate(args, cp, variant, params):
         "amplitudes.csv": _csv(["in"] + labels, amplitudes, preamble),
         "phases.csv": _csv(["in"] + labels, phases, preamble + ["phases in units of pi"]),
         "loss.csv": _csv(["in", "loss"], [[labels[j], float(report.per_input_loss[j])] for j in range(n)], preamble),
-        "summary.json": _json({
+        "summary.json": _summary({
             "variant": variant,
             "fidelity": report.fidelity,
             "fidelity_with_loss": report.fidelity_with_loss,
@@ -339,7 +348,7 @@ def cmd_noise(args, cp, variant, params):
     files = {
         "noise.csv": _csv(["shot", "doppler_rms_radus", "intensity_mean", "fidelity"], rows,
                           [_params_line(variant, params), f"seed: {spec.seed}  n_shots: {spec.n_shots}"]),
-        "summary.json": _json({
+        "summary.json": _summary({
             "mean_fidelity": result.mean_fidelity,
             "std_fidelity": result.std_fidelity,
             "mean_infidelity": result.mean_infidelity,

@@ -59,10 +59,14 @@ _CHUNK_ELEMENTS = 32768
 # rows: directions of the rows' affine span below _RANK_TOL times the
 # largest are dropped, each axis gets the nodes whose Bernstein-ellipse bound
 # reaches _NODE_TARGET, and a gap above _CHECK_TOL between the interpolant
-# and a direct exponential raises PropagationError.
+# and a direct exponential raises PropagationError.  _NODE_TAU holds the
+# largest tau that n = 1..64 nodes serve on a grid of ellipses (_axis_nodes).
 _RANK_TOL = 1e-12
 _NODE_TARGET = 1e-14
 _CHECK_TOL = 1e-10
+_RHO = np.geomspace(1.0 + 1e-3, 1e4, 400)
+_NODE_TAU = np.max((math.log(_NODE_TARGET) - math.log(4.0) + np.log(_RHO - 1.0) + np.arange(64)[:, None] * np.log(_RHO))
+                   / (0.5 * (_RHO - 1.0 / _RHO)), axis=1)
 
 # The decay budget's exposure, the norm lost over Gamma, also divides the
 # steps' own norm drift by Gamma.  That drift does not depend on Gamma: a few
@@ -218,13 +222,11 @@ def _axis_nodes(tau: float) -> float:
     tau = dt h |B|.  On the Bernstein ellipse E_rho the exponential is at
     most exp(tau (rho - 1/rho) / 2), so degree n errs by at most
     4 M rho^-n / (rho - 1) (Trefethen, ATAP, Thm 8.2), minimized over rho.
-    Beyond 64 nodes this is inf, and the steps become the nodes.
+    The bound is linear in tau, so _NODE_TAU holds the largest tau each
+    count serves.  Beyond 64 nodes this is inf, and the steps become the nodes.
     """
-    rho = np.geomspace(1.0 + 1e-3, 1e4, 400)
-    n = np.arange(64)[:, None]
-    log_bound = np.log(4.0) + 0.5 * tau * (rho - 1.0 / rho) - np.log(rho - 1.0) - n * np.log(rho)
-    ok = np.min(log_bound, axis=1) <= math.log(_NODE_TARGET)
-    return int(np.argmax(ok)) + 1 if ok.any() else math.inf
+    n = int(np.searchsorted(_NODE_TAU, tau))
+    return n + 1 if n < len(_NODE_TAU) else math.inf
 
 
 def _lobatto(m: int) -> np.ndarray:
@@ -237,21 +239,21 @@ def _lagrange(s: np.ndarray, m: int) -> np.ndarray:
     lam = (-1.0) ** np.arange(m)
     lam[[0, -1]] *= 0.5
     diff = s[:, None] - _lobatto(m)
-    hit = diff == 0.0
-    w = lam / np.where(hit, 1.0, diff)
-    w /= np.sum(w, axis=1, keepdims=True)
-    at_node = np.any(hit, axis=1)
-    w[at_node] = hit[at_node]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows that hit a node are overwritten below
+        w = lam / diff
+        w /= np.sum(w, axis=1, keepdims=True)
+    row = np.nonzero(diff == 0.0)[0]
+    w[row] = diff[row] == 0.0
     return w
 
 
-def _nodes(group: BlockGroup, factors: np.ndarray, axes: np.ndarray, coords: np.ndarray, dt: float):
+def _nodes(group: BlockGroup, factors: np.ndarray, axes: np.ndarray, coords: np.ndarray, dt: float, reads: int):
     """Interpolation nodes for one time-dependent stage and group.
 
-    Returns the node rows, the per-axis Lagrange weights of every step
+    Returns the node rows, the per-axis Lagrange weights of steps 0..reads
     (None when the nodes are the step rows themselves) and the nodes per
-    axis.  The nodes form a tensor Chebyshev-Lobatto grid on the bounding
-    box of the steps' coordinates in the affine span of the drive rows.
+    axis, from _axis_nodes.  The nodes form a tensor Chebyshev-Lobatto grid
+    on the bounding box of all the steps' coordinates in the drive rows' span.
     """
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     half = 0.5 * (hi - lo)
@@ -263,7 +265,7 @@ def _nodes(group: BlockGroup, factors: np.ndarray, axes: np.ndarray, coords: np.
     mid = lo + half
     grid = [mid[a] + half[a] * _lobatto(m) for a, m in enumerate(counts)]
     node_coords = np.stack(np.meshgrid(*grid, indexing="ij"), axis=-1).reshape(-1, len(counts))
-    weights = [_lagrange((coords[:, a] - mid[a]) / half[a], m) for a, m in enumerate(counts)]
+    weights = [_lagrange((coords[:reads, a] - mid[a]) / half[a], m) for a, m in enumerate(counts)]
     return factors[0] + node_coords @ axes, weights, counts
 
 
@@ -278,15 +280,6 @@ def _tensor_weights(weights: list[np.ndarray], k0: int, k1: int) -> np.ndarray:
     for wa in weights:
         w = (w[:, :, None] * wa[k0:k1, None, :]).reshape(k1 - k0, -1)
     return w
-
-
-def _interpolation_gap(group: BlockGroup, energies, factors: np.ndarray, node_exps, weights, dt: float) -> float:
-    """Largest entry gap between the interpolant and a direct exponential, at the step of largest Lebesgue sum."""
-    lebesgue = np.prod([np.sum(np.abs(w), axis=1) for w in weights], axis=0)
-    k = int(np.argmax(lebesgue))
-    w = _tensor_weights(weights, k, k + 1)
-    direct = _factor_exponentials(group, energies, factors[k:k + 1], dt)
-    return max(float(np.max(np.abs(_weighted(w, f) - g))) for f, g in zip(node_exps, direct))
 
 
 def _budget_rate(plan: StagePlan) -> float:
@@ -358,7 +351,8 @@ def _constant_source(group: BlockGroup, diag: np.ndarray, dt: float, h_const: np
     return lambda k0, k1: [np.broadcast_to(f, (k1 - k0, *f.shape)) for f in fixed], note
 
 
-def _varying_source(group: BlockGroup, diag: np.ndarray, dt: float, factors: np.ndarray, span, i_stage: int):
+def _varying_source(group: BlockGroup, diag: np.ndarray, dt: float, factors: np.ndarray, span, i_stage: int,
+                    reads: int):
     """A time-dependent stage's step exponentials (a source, see _constant_source), interpolated.
 
     The steps' cluster Hamiltonians differ only in the coordinates of their
@@ -367,16 +361,21 @@ def _varying_source(group: BlockGroup, diag: np.ndarray, dt: float, factors: np.
     exponentiated only at the tensor Chebyshev-Lobatto nodes of _nodes, and
     a step's exponential is the Lagrange-weighted sum of the node
     exponentials (Trefethen, *Approximation Theory and Approximation
-    Practice*, ch. 8), checked by _interpolation_gap: a gap above _CHECK_TOL
-    raises PropagationError.  Where the grid would outnumber the steps, the
-    nodes are the steps, each exponentiated directly.
+    Practice*, ch. 8), given only for steps 0..reads, those the run reads.
+    Of these, the step of largest Lebesgue sum is checked: a direct
+    exponential in the nodes' batch, and a gap above _CHECK_TOL raises
+    PropagationError.  Where the grid would outnumber the steps, the nodes
+    are the steps, each exponentiated directly.
     """
     energies = [diag[i] - diag[i[:, :1]] for i in group.factor_index]
-    nodes, weights, counts = _nodes(group, factors, *span, dt)
+    nodes, weights, counts = _nodes(group, factors, *span, dt, reads)
     if weights is None:
         return lambda k0, k1: _factor_exponentials(group, energies, factors[k0:k1], dt), "nodes at the steps"
-    node_exps = _factor_exponentials(group, energies, nodes, dt)
-    gap = _interpolation_gap(group, energies, factors, node_exps, weights, dt)
+    k = int(np.argmax(np.prod([np.sum(np.abs(w), axis=1) for w in weights], axis=0)))
+    exps = _factor_exponentials(group, energies, np.concatenate([nodes, factors[k:k + 1]]), dt)
+    w = _tensor_weights(weights, k, k + 1)
+    gap = max(float(np.max(np.abs(_weighted(w, f[:-1]) - f[-1:]))) for f in exps)
+    node_exps = [f[:-1] for f in exps]
     if gap > _CHECK_TOL:
         raise PropagationError(f"stage {i_stage}: interpolated step exponentials off by {gap:.2e}")
     return (lambda k0, k1: [_weighted(_tensor_weights(weights, k0, k1), f) for f in node_exps],
@@ -535,12 +534,14 @@ def propagate_matrix(
         factors = evaluator.drive_factors((np.arange(n) + 0.5) * dt)
         diag = evaluator.diagonal
         constant = np.all(factors == factors[0])
-        if constant:
-            make_source = partial(_constant_source, h_const=evaluator(0.5 * dt))
-        else:
-            make_source = partial(_varying_source, factors=factors, span=_affine_axes(factors), i_stage=i_stage)
         tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(factors), initial=0.0)
         mirrored = not constant and n % 2 == 0 and np.all(np.abs(factors - factors[::-1]) <= tol)
+        if constant:
+            make_source = partial(_constant_source, h_const=evaluator(0.5 * dt))
+        else:  # a mirrored stage whose groups all take the product reads steps 0..n/2 alone
+            reads = n // 2 if mirrored and not record_populations and (gamma or not plan.basis.decay_rate) else n
+            make_source = partial(_varying_source, factors=factors, span=_affine_axes(factors), i_stage=i_stage,
+                                  reads=reads)
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
         stage_pops = np.empty((n, *cols.shape)) if record_populations else None
         for group in stage.spec.block_groups():

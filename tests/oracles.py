@@ -2,7 +2,8 @@
 
 Each is independent of the code it checks: a dense per-step propagation on
 the full H(t), a Runge-Kutta propagation that knows nothing of blocks or
-exponentials, and a fidelity optimized over virtual-Z phases.
+exponentials, a fidelity optimized over virtual-Z phases, and node counts
+from the interpolation bound minimized over ellipses.
 """
 
 import math
@@ -11,7 +12,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import expm
 
-from rydswap.dynamics import PropagationError, StagePlan, _budget_rate, _stage_steps
+from rydswap.dynamics import _NODE_TARGET, PropagationError, StagePlan, _budget_rate, _stage_steps
 from rydswap.gates import _bit_table, process_fidelity
 from rydswap.model import HamiltonianEvaluator, envelope_value
 
@@ -145,3 +146,20 @@ def phase_optimized_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray, n_qubits: 
         res = minimize(neg_fid, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-12})
         best = max(best, -res.fun)
     return float(best)
+
+
+def axis_nodes_by_minimisation(taus: np.ndarray) -> np.ndarray:
+    """Fewest Chebyshev-Lobatto nodes whose Bernstein-ellipse bound reaches _NODE_TARGET, per tau (inf beyond 64).
+
+    Degree n errs by at most 4 exp(tau (rho - 1/rho) / 2) rho^-n / (rho - 1),
+    minimized over the same 400 ellipses rho the kernel uses, for degrees
+    0..63 at each tau; 32 taus at a time.
+    """
+    rho = np.geomspace(1.0 + 1e-3, 1e4, 400)
+    n = np.arange(64)[:, None]
+    out = []
+    for tau in np.array_split(np.asarray(taus, dtype=float), max(1, len(taus) // 32)):
+        log_bound = np.log(4.0) + 0.5 * tau[:, None, None] * (rho - 1.0 / rho) - np.log(rho - 1.0) - n * np.log(rho)
+        ok = np.min(log_bound, axis=2) <= math.log(_NODE_TARGET)
+        out.append(np.where(ok.any(axis=1), np.argmax(ok, axis=1) + 1.0, math.inf))
+    return np.concatenate(out)

@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import platform
 import re
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from rydswap import __version__
 from rydswap.cli import _SCHEMA, ConfigError, _gate_params, _noise_spec, _parse_config, main, preset_path
 from rydswap.gates import make_protocol, run_gate, table_params
 from rydswap.noise import DopplerSpec, NoiseSpec
@@ -30,6 +33,16 @@ def test_gate_preset_outputs(tmp_path):
         assert (out / name).exists()
     # the resolved parameter echo is embedded in every CSV
     assert "params:" in (out / "amplitudes.csv").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("command", [["gate", "--preset", "table1_sqrt_iswap"],
+                                     ["noise", "--preset", "fig3a_doppler", "--set", "noise.n_shots=1"]])
+def test_summary_carries_provenance(command, tmp_path):
+    assert run_cli(command + ["--out", str(tmp_path)]) == 0
+    provenance = json.loads((tmp_path / "summary.json").read_text())["provenance"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert provenance == {"rydswap": __version__, "python": platform.python_version(), "numpy": np.__version__,
+                          "scipy": scipy.__version__, "blas": {"name": blas["name"], "version": blas["version"]}}
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -39,7 +39,7 @@ from rydswap.model import (
 )
 from rydswap.noise import DopplerSpec, IntensitySpec, NoiseSpec, sample_realization, shot_rng
 
-from oracles import _dense_oracle, _single_rate, coupling_matrices, propagate_rk
+from oracles import _dense_oracle, _single_rate, axis_nodes_by_minimisation, coupling_matrices, propagate_rk
 
 TWO_PI = 2 * math.pi
 
@@ -585,8 +585,8 @@ def _step_exponentials(plan, noise, index):
         if group.factor_index:
             diag = evaluator.diagonal
             direct = _factor_exponentials(group, [diag[i] - diag[i[:, :1]] for i in group.factor_index], factors, dt)
-            _, weights, counts = _nodes(group, factors, *span, dt)
-            source, _ = _varying_source(group, diag, dt, factors, span, index)
+            _, weights, counts = _nodes(group, factors, *span, dt, n)
+            source, _ = _varying_source(group, diag, dt, factors, span, index, n)
             out.append((counts, direct, None if weights is None else source(0, n)))
     return out
 
@@ -651,11 +651,39 @@ def test_axis_nodes_grow_with_tau_and_give_way_to_the_steps():
     assert _axis_nodes(1e3) == math.inf
 
 
-def test_interpolation_check_raises_with_too_few_nodes(monkeypatch):
-    proto = make_protocol("SWAP", table_params("SWAP"))
+def test_lagrange_weights_match_the_product_form_and_hit_nodes_exactly():
+    # barycentric weights against the Lagrange products; a step on a node
+    # takes that node's value alone
+    m = 7
+    nodes = dynamics._lobatto(m)
+    s = np.concatenate([np.linspace(-0.99, 0.98, 23), nodes[[0, 3, 6]]])
+    w = dynamics._lagrange(s, m)
+    products = np.array([[np.prod([(x - nodes[i]) / (nodes[j] - nodes[i]) for i in range(m) if i != j])
+                          for j in range(m)] for x in s])
+    assert np.max(np.abs(w - products)) < 1e-13
+    assert np.array_equal(w[-3:], np.eye(m)[[0, 3, 6]])
+
+
+def test_axis_nodes_match_the_minimised_bound():
+    # the table holds, per node count, the largest tau the bound's minimum
+    # over the ellipses serves; counts differ only at a tau equal to an entry
+    taus = np.geomspace(1e-8, 1e3, 20000)
+    assert np.array_equal([_axis_nodes(tau) for tau in taus], axis_nodes_by_minimisation(taus))
+    assert np.all(np.diff(dynamics._NODE_TAU) > 0)
+
+
+@pytest.mark.parametrize("case", ["mirrored SWAP", "recorded SWAP", "noisy C_SWAP_CCSdag"])
+def test_interpolation_check_raises_with_too_few_nodes(case, monkeypatch):
+    # the check is taken among the steps a run reads: the first half of a
+    # mirrored bare run, every step of a recorded run or of an intensity-noise
+    # stage (two drive axes, not mirrored)
+    proto, noise, _ = _interpolation_case(case.split()[1])
     monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: 3)
     with pytest.raises(PropagationError, match="interpolated"):
-        run_gate(proto)
+        if case == "recorded SWAP":
+            propagate_matrix(proto.plan, np.eye(proto.basis.dim), record_populations=True)
+        else:
+            run_gate(proto, noise)
 
 
 def test_invalid_inputs():
