@@ -433,8 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def gate_command(name, cmd, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--preset", help="bundled preset name (e.g. table1_swap)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="INI config file")
+        source.add_argument("--preset", help="bundled preset name (e.g. table1_swap)")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                        help="override a config value")
         p.add_argument("--out", default="out", help="output directory")

@@ -19,8 +19,10 @@ exposure is the norm lost over Gamma: the decay budget.  Its error is the
 steps' own norm drift over Gamma, so the budget serves only where Gamma T
 is large enough against a fixed drift per step (see _STEP_DRIFT);
 elsewhere, and without decay, the exposure is the trapezoid of P_r at t = 0
-and every step end instead.  The path is chosen from the plan, before any
-step.
+and every step end instead.  The plan alone picks the advance of every
+coupled group, before any step: with the budget, the chunk product; without
+decay, the chunk product with its derivative in a virtual decay rate, which
+gives the trapezoid; with decay below the budget's cut, the step pass.
 
 ``propagate_matrix`` is the kernel, ``propagate`` its one-column view.  For
 each stage and group it picks a source of step exponentials
@@ -163,9 +165,9 @@ class PropagationResult:
     over the basis's decay rate Gamma where Gamma T is large enough that the
     steps' own norm drift over Gamma stays within 1e-9 T |psi0|^2 (see
     _STEP_DRIFT), and otherwise the trapezoid of P_r sampled at t = 0 and at
-    the end of every integrator step; without decay, groups that take the
-    chunk product read that trapezoid off its derivative in a virtual decay
-    rate.  Off the step pass, final_state, norm_loss and the exposure take a
+    the end of every integrator step, read off the chunk product's
+    derivative in a virtual decay rate without decay.  Off the step pass
+    (decay below the cut), final_state, norm_loss and the exposure take a
     mirrored stage's second half as its first half's product transposed.
     When populations are recorded, population_traj holds |psi|^2 per basis
     state at those samples, stepped through every step, and times their
@@ -406,13 +408,14 @@ def _advance(group: BlockGroup, source, x, diag, ryd, dt: float, n: int, p_steps
     """A coupled group's block states x (n_blocks, d, n_cols) after n steps of source, chunk by chunk.
 
     The step pass applies every step, through _apply_steps.  It runs when
-    stepped, adding P_r at each step end to p_steps, and when stage_pops is
-    given, writing the populations there.  Otherwise _chunk_product reduces
-    each chunk per distinct factor row, and the product is applied once:
-    X <- phase^m A X B^T for two factors.  With deriv the product carries
-    its derivative D in a virtual decay rate on the Rydberg weights, which
-    composes as the off-diagonal block of a block-triangular exponential
-    does (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); -dN/dGamma
+    stepped (decay below the budget's cut), adding P_r at each step end to
+    p_steps, and when stage_pops is given, writing the populations there.
+    Otherwise _chunk_product reduces each chunk per distinct factor row, and
+    the product is applied once: X <- phase^m A X B^T for two factors.  With
+    deriv (no decay) the product carries its derivative D in a virtual decay
+    rate on the Rydberg weights, which composes as the off-diagonal block of
+    a block-triangular exponential does (Van Loan, IEEE Trans. Autom.
+    Control 23, 395 (1978)); -dN/dGamma
     at Gamma = 0 is then the trapezoid of P_r, per chunk the reference
     states' own P_r times its steps plus -2 Re x+ (P+ D on each factor's
     axis) x.  A mirrored stage (n even, step n-1-k the same complex
@@ -494,21 +497,18 @@ def propagate_matrix(
 ) -> PropagationResult:
     """Propagate the column states of a (dim, n_cols) matrix through all stages.
 
-    It picks each stage's source: _constant_source where the drive rows are
-    the same at every step, else _varying_source.  A time-dependent stage of
-    an even step count is mirrored where its rows equal their reverse to
-    within _MIRROR_ULPS ulps of the largest factor.  It picks each group's
-    advance: _uncoupled for uncoupled states; for the others the chunk
-    product where _budget_rate gives the decay rate Gamma (the exposure is
-    then the norm lost over Gamma); without decay, the chunk product with
-    its derivative in constant and mirrored stages, whose products reduce
-    by binary powers or over the first half, and elsewhere where
-    3 sum_k n_rows_k d_k^3 <= n_blocks d n_cols sum_k d_k (three products
-    per distinct row cost no more than stepping the states); and otherwise,
-    as below the budget's cut, where -dN/dGamma is off by O(Gamma T), the
-    step pass.  Today only intensity-noise stages without decay are left to
-    that flop rule.  A recorded run also steps every group for its
-    populations.  Without the budget each stage adds
+    Before any stage it picks one advance for every coupled group, from the
+    plan alone: the chunk product where _budget_rate gives the decay rate
+    Gamma (the exposure is then the norm lost over Gamma); without decay,
+    the chunk product with its derivative; and with decay below the
+    budget's cut, where -dN/dGamma is off by O(Gamma T), the step pass.
+    Uncoupled states take _uncoupled.  It picks each stage's source:
+    _constant_source where the drive rows are the same at every step, whose
+    products reduce by binary powers, else _varying_source.  Off the step
+    pass, a time-dependent stage of an even step count is mirrored where its
+    rows equal their reverse to within _MIRROR_ULPS ulps of the largest
+    factor, and its products reduce its first half.  A recorded run also
+    steps every group for its populations.  Without the budget each stage adds
     dt (P_r(start) / 2 + the step ends' P_r - P_r(end) / 2) to the exposure.
     """
     norms0 = np.sum(np.abs(columns) ** 2, axis=0)
@@ -517,8 +517,10 @@ def propagate_matrix(
     if plan.basis.dim != len(columns):
         raise ValueError("plan basis dimension does not match the propagated state")
     gamma = _budget_rate(plan)
+    need_pr, deriv = not gamma, not plan.basis.decay_rate
+    stepped = need_pr and not deriv
+    path = "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product"
     cols = columns.astype(complex)
-    need_pr = not gamma
 
     ryd = plan.basis.rydberg_projector_diagonal()
     p_end = ryd @ np.sum(np.abs(cols) ** 2, axis=1)
@@ -535,11 +537,12 @@ def propagate_matrix(
         diag = evaluator.diagonal
         constant = np.all(factors == factors[0])
         tol = _MIRROR_ULPS * np.finfo(float).eps * np.max(np.abs(factors), initial=0.0)
-        mirrored = not constant and n % 2 == 0 and np.all(np.abs(factors - factors[::-1]) <= tol)
+        mirrored = not stepped and not constant and n % 2 == 0 and np.all(np.abs(factors - factors[::-1]) <= tol)
+        reduced = "" if stepped else "; by binary powers" if constant else "; first half, mirrored" if mirrored else ""
         if constant:
             make_source = partial(_constant_source, h_const=evaluator(0.5 * dt))
-        else:  # a mirrored stage whose groups all take the product reads steps 0..n/2 alone
-            reads = n // 2 if mirrored and not record_populations and (gamma or not plan.basis.decay_rate) else n
+        else:  # a mirrored stage reads steps 0..n/2 alone unless it records
+            reads = n // 2 if mirrored and not record_populations else n
             make_source = partial(_varying_source, factors=factors, span=_affine_axes(factors), i_stage=i_stage,
                                   reads=reads)
         p_steps = 0.0  # P_r summed over the columns and the stage's step ends
@@ -547,20 +550,14 @@ def propagate_matrix(
         for group in stage.spec.block_groups():
             psi_g = cols[group.index]  # (n_blocks, d, n_cols)
             if not group.factor_index:
-                path, note = "closed form", "the diagonal alone"
+                how, note = "closed form", "the diagonal alone"
                 psi_g, p_steps = _uncoupled(group, psi_g, diag, ryd, dt, n, p_steps, need_pr, stage_pops)
-            else:  # the advance rule of the docstring, without decay
-                rows, dims = np.array([i.shape for i in group.factor_index]).T
-                deriv = not plan.basis.decay_rate and (
-                    constant or mirrored or 3 * rows @ dims ** 3 <= psi_g.size * dims.sum())
-                stepped = need_pr and not deriv
-                path = "step pass" if stepped else "chunk product with derivative" if deriv else "chunk product"
+            else:
                 source, note = make_source(group, diag, dt)
-                if not stepped:
-                    note += "; by binary powers" if constant else "; first half, mirrored" if mirrored else ""
-                psi_g, p_steps = _advance(group, source, psi_g, diag, ryd, dt, n, p_steps, stepped, deriv,
-                                          mirrored and not stepped, stage_pops)
-            _log.debug("stage %d, blocks %dx%d: %d steps by %s, from %s", i_stage, *group.index.shape, n, path, note)
+                how, note = path, note + reduced
+                psi_g, p_steps = _advance(group, source, psi_g, diag, ryd, dt, n, p_steps, stepped, deriv, mirrored,
+                                          stage_pops)
+            _log.debug("stage %d, blocks %dx%d: %d steps by %s, from %s", i_stage, *group.index.shape, n, how, note)
             if not np.all(np.isfinite(psi_g)):
                 raise PropagationError(f"non-finite amplitudes in stage {i_stage}")
             cols[group.index] = psi_g

@@ -74,6 +74,19 @@ def test_missing_required_values(tmp_path):
     assert run_cli(["gate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_config_and_preset_are_exclusive(tmp_path, capsys, exists):
+    # one of the two would be silently ignored, even a config file that does not exist
+    cfg = tmp_path / "other.cfg"
+    if exists:
+        cfg.write_text("[gate]\nvariant = iSWAP\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["gate", "--preset", "table1_swap", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_set_override(tmp_path):
     out = tmp_path / "o"
     rc = run_cli([

@@ -178,15 +178,29 @@ def test_propagate_matrix_matches_vector_propagation():
     assert res.time_integrated_rydberg == pytest.approx(exposure, rel=1e-12)
 
 
-@pytest.mark.parametrize("lifetime", [400.0, None])
-def test_exposure_sums_the_single_column_exposures(lifetime):
+@pytest.mark.parametrize("lifetime, noisy", [(400.0, False), (None, False), (None, True)],
+                         ids=["400.0", "None", "noisy None"])
+def test_exposure_sums_the_single_column_exposures(lifetime, noisy, caplog):
     # at 400 us the exposure is the decay budget.  Without decay every stage
     # takes the chunk product with its derivative at 8 columns and at one: the
-    # constant control stages by binary powers, the target stage mirrored
+    # constant control stages by binary powers, the target stage mirrored.  A
+    # noisy shot's intensity tracks break the mirror, and its groups still take
+    # the derivative product over all 27 basis columns and at one: the advance
+    # follows from the plan, never from the column count
     proto = make_protocol("C_SWAP_CCSdag", replace(table_params("C_SWAP_CCSdag"), lifetime=lifetime))
-    cols = np.eye(proto.basis.dim, dtype=complex)[:, list(proto.basis.comp_indices)]
-    res = propagate_matrix(proto.plan, cols)
-    exposures = [propagate(proto.plan, c).time_integrated_rydberg for c in cols.T]
+    noise = _oracle_case("noisy C_SWAP_CCSdag")[2] if noisy else None
+    cols = np.eye(proto.basis.dim, dtype=complex)
+    if not noisy:
+        cols = cols[:, list(proto.basis.comp_indices)]
+    with caplog.at_level(logging.DEBUG, logger="rydswap"):
+        res = propagate_matrix(proto.plan, cols, noise)
+        batch = caplog.text
+        caplog.clear()
+        exposures = [propagate(proto.plan, c, noise).time_integrated_rydberg for c in cols.T]
+    for text in (batch, caplog.text):
+        advances = set(re.findall(r"steps by ([a-z ]+), from", text)) - {"closed form"}
+        assert advances == {"chunk product" if lifetime else "chunk product with derivative"}
+    assert ("mirrored" in batch) != noisy
     assert min(exposures) > 0.0
     assert res.time_integrated_rydberg == pytest.approx(sum(exposures), rel=1e-12)
 
@@ -453,8 +467,7 @@ def test_two_cluster_budget_run_matches_dense_oracle(rate, per_step, small_chunk
     # reduced product's states; with small chunks there are several, and the
     # step pass goes through each in shorter pieces.  Without decay the
     # products carry their derivative in a virtual rate, whose trapezoid of
-    # P_r the oracle sums from its populations; that takes all 9 columns,
-    # since with 3 the two-factor group costs less stepped
+    # P_r the oracle sums from its populations, here over the 9 basis columns
     if per_step:
         monkeypatch.setattr(dynamics, "_axis_nodes", lambda tau: math.inf)
     if small_chunks:
@@ -506,7 +519,7 @@ def test_zero_column_batch_gives_the_empty_result(name, record):
 @pytest.mark.parametrize("name", ["SWAP", "C_SWAP_CCSdag"])
 def test_mirrored_stage_matches_the_full_product(name, lifetime, monkeypatch, caplog):
     # a negative tolerance defeats the mirror check: the target stage then
-    # reduces every step, and at lifetime None its group steps by the flop rule
+    # reduces every step, with its derivative at lifetime None
     proto = make_protocol(name, replace(table_params(name), lifetime=lifetime))
     mirrored = run_gate(proto)
     monkeypatch.setattr(dynamics, "_MIRROR_ULPS", -1)
@@ -528,10 +541,9 @@ def _routing_protocols():
 
 
 def test_routing_target_groups_take_the_cheaper_decay_free_path(caplog):
-    # without decay a mirrored group takes the chunk product with its
-    # derivative over its first half, and every target stage of the routing
-    # gates is mirrored; the flop rule, which alone would keep MUX_SWAP_3T's
-    # 20-state rows on the step pass, serves only groups that are not
+    # without decay every coupled group takes the chunk product with its
+    # derivative, and every target stage of the routing gates is mirrored, so
+    # it reduces over its first half
     expected = {"MUX_SWAP_3T": "chunk product with derivative", "MUX_SWAP_4T": "chunk product with derivative",
                 "Ck_SWAP": "chunk product with derivative"}
     for variant, proto in _routing_protocols().items():
